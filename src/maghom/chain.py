@@ -19,6 +19,7 @@ from .linalg import (
     SparseMatrix,
     check_field,
     homology_at,
+    rank_over_field,
 )
 from .space import INF, QuasimetricSpace, min_positive_distance, parse_dist
 
@@ -194,19 +195,11 @@ class BasedComplex:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"degree {n} outside computed range 0..{self.n_max}")
         if self.ascending:
+            outgoing = self.coboundary(n)
             incoming = self.coboundary(n - 1) if n >= 1 else SparseMatrix(self.dim(0), 0)
-            return self.dim(n) - _rank(self.coboundary(n), fld) - _rank(incoming, fld)
-        return (
-            self.dim(n)
-            - _rank(self.boundary(n), fld)
-            - _rank(self.boundary(n + 1), fld)
-        )
-
-
-def _rank(matrix, fld):
-    from .linalg import rank_over_field
-
-    return rank_over_field(matrix, fld)
+        else:
+            outgoing, incoming = self.boundary(n), self.boundary(n + 1)
+        return self.dim(n) - rank_over_field(outgoing, fld) - rank_over_field(incoming, fld)
 
 
 def magnitude_complex(space: QuasimetricSpace, grade, n_max: int) -> BasedComplex:

@@ -29,14 +29,11 @@ from .space import attainable_grades, format_dist, parse_dist
 
 @dataclass
 class JobSpec:
-    """One parsed invocation: input, bounds, field, command, output format."""
+    """One parsed invocation: bounds, field, output format."""
 
-    input_path: str
-    input_kind: str
     n_max: int
     l_max: Fraction
     field: object  # None for integers, else a field object
-    command: str
     output_format: str
 
     def __post_init__(self):
@@ -45,6 +42,7 @@ class JobSpec:
 
 
 INTEGERS = "Z"
+FORMATS = ("json", "csv", "table")
 
 
 def parse_field_flag(text: str):
@@ -79,8 +77,7 @@ def emit(report: dict, fmt: str) -> bytes:
     """Deterministic bytes for a report in json, csv, or table form."""
     if fmt == "json":
         return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
-    if fmt not in ("csv", "table"):
-        raise UnsupportedFormat(f"format must be json, csv, or table, got {fmt!r}")
+    _check_format(fmt)
     columns = report.get("columns", [])
     rows = report.get("rows", [])
     cells = [[str(row.get(c, "")) for c in columns] for row in rows]
@@ -94,6 +91,11 @@ def emit(report: dict, fmt: str) -> bytes:
     lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
     lines += ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in cells]
     return ("\n".join(lines) + "\n").encode()
+
+
+def _check_format(fmt: str):
+    if fmt not in FORMATS:
+        raise UnsupportedFormat(f"format must be json, csv, or table, got {fmt!r}")
 
 
 def _torsion_str(torsion) -> str:
@@ -356,7 +358,6 @@ def build_parser():
         p.add_argument("--field", type=parse_field_flag, default=None, help="Z, Q, or Fp:P")
         p.add_argument("--format", dest="fmt", default="table", help="json, csv, or table")
         p.add_argument("--coefficients", default=None, help="module JSON for coefficients")
-        p.add_argument("--seed", type=int, default=0)
 
     for name in COMMANDS:
         common(sub.add_parser(name))
@@ -369,12 +370,13 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "gen":
             space = random_space(args.points, args.seed)
             sys.stdout.write(json.dumps(mio.dump_space(space), sort_keys=True, indent=2) + "\n")
             return 0
+        _check_format(args.fmt)
         kind, space, extra = mio.load_input(args.input)
         graph = extra if kind == "digraph" else None
         module = extra if kind == "module" else None
@@ -389,12 +391,9 @@ def main(argv=None) -> int:
             if problems and args.command != "validate":
                 raise MagnitudeError(f"module invalid: {problems[0]}")
         job = JobSpec(
-            input_path=args.input,
-            input_kind=kind,
             n_max=args.nmax,
             l_max=args.lmax,
             field=args.field,
-            command=args.command,
             output_format=args.fmt,
         )
         handler = COMMANDS[args.command]

@@ -21,6 +21,10 @@ class TriangleViolation(InvalidSpaceError):
     pass
 
 
+class InvalidInput(MagnitudeError, ValueError):
+    """An input file or literal that cannot be read or parsed."""
+
+
 class UnknownPoint(MagnitudeError):
     pass
 

@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 
 from .distmod import DistanceModule
-from .errors import MagnitudeError
+from .errors import InvalidInput, MagnitudeError
 from .space import (
     Digraph,
     QuasimetricSpace,
@@ -107,17 +107,30 @@ def sniff_kind(data) -> str:
 
 
 def load_input(path):
-    """Returns (kind, object): digraph -> its space, module -> (space, module)."""
+    """(kind, space, extra): extra is the digraph, the module, or None.
+
+    A file that cannot be read, parsed, or shaped into its kind raises
+    InvalidInput; axiom violations keep their own MagnitudeError types.
+    """
     path = Path(path)
-    data = json.loads(path.read_text())
-    kind = sniff_kind(data)
-    if kind == "digraph":
-        graph = load_digraph(data)
-        return "digraph", digraph_to_space(graph), graph
-    if kind == "space":
-        return "space", load_space(data), None
-    space, module = load_module(data, base_dir=path.parent)
-    return "module", space, module
+    try:
+        data = json.loads(path.read_text())
+        kind = sniff_kind(data)
+        if kind == "digraph":
+            graph = load_digraph(data)
+            return "digraph", digraph_to_space(graph), graph
+        if kind == "space":
+            return "space", load_space(data), None
+        space, module = load_module(data, base_dir=path.parent)
+        return "module", space, module
+    except MagnitudeError:
+        raise
+    except OSError as err:
+        raise InvalidInput(f"cannot read {path}: {err.strerror}") from None
+    except json.JSONDecodeError as err:
+        raise InvalidInput(f"{path} is not valid JSON: {err}") from None
+    except (KeyError, TypeError, ValueError) as err:
+        raise InvalidInput(f"{path} is malformed: {type(err).__name__}: {err}") from None
 
 
 def relations_report(relations) -> dict:

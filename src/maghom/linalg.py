@@ -214,10 +214,6 @@ class SparseMatrix:
         return out
 
 
-# Backwards-friendly alias: the integer-matrix role from the homology pipeline.
-SparseIntMatrix = SparseMatrix
-
-
 def _mirror_set(rows, cols, r, c, v):
     if v:
         rows[r][c] = v
@@ -349,59 +345,6 @@ def snf(matrix: SparseMatrix) -> list[int]:
     return diag
 
 
-def rank_over_field(matrix: SparseMatrix, fld) -> int:
-    """Exact rank over QQ or GF(p) by sparse elimination."""
-    check_field(fld)
-    rows = {}
-    cols = {}
-    for (r, c), v in matrix.entries.items():
-        w = fld.of(v)
-        if w != 0:
-            rows.setdefault(r, {})[c] = w
-            cols.setdefault(c, {})[r] = w
-    rank = 0
-    while rows:
-        for r in [r for r, row in rows.items() if not row]:
-            del rows[r]
-        for c in [c for c, col in cols.items() if not col]:
-            del cols[c]
-        if not rows:
-            break
-        r0, c0 = _pick_pivot_field(rows, cols)
-        rank += 1
-        pivot = rows[r0][c0]
-        inv = fld.inv(pivot)
-        prow = {c: fld.of(v * inv) for c, v in rows[r0].items()}
-        for r in [r for r in list(cols[c0]) if r != r0]:
-            factor = rows[r][c0]
-            row = rows[r]
-            for c, v in prow.items():
-                new = fld.of(row.get(c, 0) - factor * v)
-                _mirror_set(rows, cols, r, c, new)
-        for c in list(rows[r0]):
-            cols[c].pop(r0, None)
-        del rows[r0]
-        for r in list(cols.get(c0, ())):
-            rows[r].pop(c0, None)
-        cols.pop(c0, None)
-    return rank
-
-
-def _pick_pivot_field(rows, cols):
-    best = None
-    best_key = None
-    for r, row in rows.items():
-        rfill = len(row) - 1
-        for c in row:
-            key = (rfill * (len(cols[c]) - 1), r, c)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (r, c)
-                if key[0] == 0:
-                    return best
-    return best
-
-
 @dataclass(frozen=True)
 class HomologySummary:
     """Betti number and torsion invariant factors at one bidegree."""
@@ -443,13 +386,8 @@ def homology_at(d_n: SparseMatrix, d_np1: SparseMatrix, dim_n: int, n=0, grade=F
     return HomologySummary(n=n, grade=grade, betti=betti, torsion=torsion)
 
 
-def dim_over_field(d_n: SparseMatrix, d_np1: SparseMatrix, dim_n: int, fld) -> int:
-    """dim of homology at one spot of a complex with entries in a field."""
-    return dim_n - rank_over_field(d_n, fld) - rank_over_field(d_np1, fld)
-
-
 # ---------------------------------------------------------------------------
-# dense helpers: integer kernels (with unimodular transforms) and field spans
+# integer kernels: dense, with unimodular transforms
 
 
 def integer_kernel_basis(matrix: SparseMatrix) -> list[list[int]]:
@@ -524,120 +462,157 @@ def integer_kernel_basis(matrix: SparseMatrix) -> list[list[int]]:
     return [[T[i][j] for i in range(n)] for j in kernel_cols]
 
 
+
+
+# ---------------------------------------------------------------------------
+# field elimination: one sparse reduced-echelon span
+
+
+def sparse_columns(matrix: SparseMatrix, fld) -> list[dict]:
+    """Columns of a matrix as {row: value} dicts over a field, in one pass."""
+    cols = [{} for _ in range(matrix.cols)]
+    for (r, c), v in matrix.entries.items():
+        v = fld.of(v)
+        if v:
+            cols[c][r] = v
+    return cols
+
+
+def _sparse(vec, fld) -> dict:
+    """A fresh {row: value} dict of a dense sequence or a dict, zeros dropped."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {i: y for i, x in items if x and (y := fld.of(x))}
+
+
+def _axpy(v, f, w, p):
+    """v -= f * w in place, reduced mod p when p is set; zeros are dropped."""
+    for r, x in w.items():
+        y = v.get(r, 0) - f * x
+        if p:
+            y %= p
+        if y:
+            v[r] = y
+        else:
+            del v[r]
+
+
+def _scale(v, c, p):
+    for r, x in v.items():
+        v[r] = x * c % p if p else x * c
+
+
 class FieldColumnSpan:
-    """Mutable span of column vectors over a field, kept in echelon form."""
+    """Span of column vectors over a field, kept in sparse reduced echelon form.
+
+    Each stored vector is a {row: value} dict whose pivot is its first
+    nonzero row; it holds 1 at its pivot and 0 at every other pivot row.
+    A client that needs coordinates passes each inserted vector's own
+    {key: coefficient} to `_insert` (every insertion or none); each stored
+    vector then carries its coordinates in the inserted vectors.  This is
+    the only field elimination loop: field ranks, kernels and solves are
+    its clients.
+    """
 
     def __init__(self, dim: int, fld):
         self.dim = dim
         self.fld = check_field(fld)
-        self.pivots = {}  # pivot row -> reduced vector (list)
+        self.pivots = {}  # pivot row -> reduced vector
+        self.coords = {}  # pivot row -> {key: coefficient}, when tracked
 
-    def reduce(self, vec):
-        """Residue of vec modulo the span; returns a new list.
+    def _reduce(self, v, coords=None):
+        """Zero every pivot row of v in place, mirroring each step on coords.
 
-        Stored vectors carry 1 at their own pivot row and 0 at every other
-        pivot row, so one ascending pass zeroes all pivot rows of vec.
+        Subtracting a stored vector changes no other pivot row, so one step
+        per pivot row in v's support suffices.
         """
-        fld = self.fld
-        v = [fld.of(x) for x in vec]
-        for i in range(self.dim):
-            if v[i] != 0 and i in self.pivots:
-                basis_vec = self.pivots[i]
-                factor = v[i]
-                for j in range(self.dim):
-                    v[j] = fld.of(v[j] - factor * basis_vec[j])
-        return v
+        p = self.fld.p
+        for row in [r for r in v if r in self.pivots]:
+            f = v[row]
+            _axpy(v, f, self.pivots[row], p)
+            if coords is not None:
+                _axpy(coords, f, self.coords[row], p)
+
+    def _insert(self, v, coords=None) -> bool:
+        """Reduce the dict v in place and store it if nonzero.
+
+        coords, when given, holds v's coordinates; if v reduces to zero it is
+        left holding a combination of the inserted vectors that equals 0.
+        """
+        self._reduce(v, coords)
+        if not v:
+            return False
+        p = self.fld.p
+        piv = min(v)
+        inv = self.fld.inv(v[piv])
+        _scale(v, inv, p)
+        if coords is not None:
+            _scale(coords, inv, p)
+        for row, w in self.pivots.items():
+            f = w.get(piv)
+            if f:
+                _axpy(w, f, v, p)
+                if coords is not None:
+                    _axpy(self.coords[row], f, coords, p)
+        self.pivots[piv] = v
+        if coords is not None:
+            self.coords[piv] = coords
+        return True
 
     def add(self, vec) -> bool:
-        """Insert vec; True if it enlarged the span."""
-        v = self.reduce(vec)
-        for i in range(self.dim):
-            if v[i] != 0:
-                inv = self.fld.inv(v[i])
-                v = [self.fld.of(x * inv) for x in v]
-                # back-substitute to keep reduced form
-                for piv, w in self.pivots.items():
-                    if w[i] != 0:
-                        factor = w[i]
-                        for j in range(self.dim):
-                            w[j] = self.fld.of(w[j] - factor * v[j])
-                self.pivots[i] = v
-                return True
-        return False
+        """Insert vec (a dense sequence or a {row: value} dict); True if it enlarged the span."""
+        return self._insert(_sparse(vec, self.fld))
 
     def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        v = _sparse(vec, self.fld)
+        self._reduce(v)
+        return not v
 
     def rank(self) -> int:
         return len(self.pivots)
 
 
+def rank_over_field(matrix: SparseMatrix, fld) -> int:
+    """Exact rank over QQ or GF(p): the rank of the span of the columns."""
+    span = FieldColumnSpan(matrix.rows, fld)
+    for col in sparse_columns(matrix, span.fld):
+        span._insert(col)
+    return span.rank()
+
+
 def kernel_basis_over_field(matrix: SparseMatrix, fld) -> list[list]:
-    """Kernel basis of a matrix over a field (column vectors, reduced echelon)."""
-    check_field(fld)
-    m, n = matrix.rows, matrix.cols
-    cols = [[fld.of(0)] * m for _ in range(n)]
-    for (r, c), v in matrix.entries.items():
-        cols[c][r] = fld.of(v)
-    T = [[fld.of(1) if i == j else fld.of(0) for j in range(n)] for i in range(n)]
-    # column echelon on cols, mirrored on T
-    pivot_rows = {}
-    for j in range(n):
-        col = cols[j]
-        while True:
-            lead = next((i for i in range(m) if col[i] != 0), None)
-            if lead is None or lead not in pivot_rows:
-                break
-            k = pivot_rows[lead]
-            factor = fld.of(col[lead] * fld.inv(cols[k][lead]))
-            for i in range(m):
-                col[i] = fld.of(col[i] - factor * cols[k][i])
-            for i in range(n):
-                T[i][j] = fld.of(T[i][j] - factor * T[i][k])
-        if lead is not None:
-            pivot_rows[lead] = j
-    kernel = [[T[i][j] for i in range(n)] for j in range(n) if all(x == 0 for x in cols[j])]
-    # normalize to a deterministic reduced form
-    span = FieldColumnSpan(n, fld)
-    out = []
-    for v in kernel:
-        if span.add(v):
-            pass
-    for i in sorted(span.pivots):
-        out.append(list(span.pivots[i]))
-    return out
+    """Kernel basis of a matrix over a field: the reduced echelon one.
+
+    Columns enter a span with their coordinates from last to first, so
+    dependent column j yields a kernel vector with 1 at j, 0 at every other
+    dependent column and the rest of its support on later columns.  That is
+    the canonical reduced echelon basis (pivot = first nonzero entry); it is
+    returned pivots ascending, as dense vectors.
+    """
+    span = FieldColumnSpan(matrix.rows, fld)
+    one, zero = span.fld.of(1), span.fld.of(0)
+    cols = sparse_columns(matrix, span.fld)
+    kernel = []
+    for j in reversed(range(matrix.cols)):
+        coords = {j: one}
+        if not span._insert(cols[j], coords):
+            kernel.append([coords.get(i, zero) for i in range(matrix.cols)])
+    kernel.reverse()
+    return kernel
 
 
 def solve_in_span(columns, target, fld):
     """Coefficients expressing target as a combination of columns, or None.
 
-    columns: list of length-m vectors; target: length-m vector.
+    columns: dense length-m vectors or {row: value} dicts; target: a dense
+    length-m vector.  Of all solutions this is the one on the leftmost
+    independent columns: a column that depends on earlier ones gets 0.
     """
-    check_field(fld)
-    m = len(target)
-    k = len(columns)
-    aug = [[fld.of(columns[j][i]) for j in range(k)] + [fld.of(target[i])] for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = fld.inv(aug[r][c])
-        aug[r] = [fld.of(x * inv) for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [fld.of(x - f * y) for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][k] != 0:
-            return None
-    coeffs = [fld.of(0)] * k
-    for row, c in enumerate(piv_cols):
-        coeffs[c] = aug[row][k]
-    return coeffs
+    span = FieldColumnSpan(len(target), fld)
+    fld = span.fld
+    for j, col in enumerate(columns):
+        span._insert(_sparse(col, fld), {j: fld.of(1)})
+    residue, coords = _sparse(target, fld), {}
+    span._reduce(residue, coords)
+    if residue:
+        return None
+    return [fld.of(-coords.get(j, 0)) for j in range(len(columns))]

@@ -22,6 +22,7 @@ from .linalg import (
     check_field,
     kernel_basis_over_field,
     solve_in_span,
+    sparse_columns,
 )
 from .resolution import BarResolution, bar_resolution
 from .space import QuasimetricSpace, parse_dist
@@ -125,17 +126,10 @@ def cohomology_classes(space, n, grade, fld) -> CohomologyClassSet:
     grade = parse_dist(grade)
     cx = magnitude_cochain_complex(space, grade, n, fld)
     basis_n = cx.bases[n]
-    dim_n = len(basis_n)
     kernel = kernel_basis_over_field(cx.coboundary(n), fld)
-    span = FieldColumnSpan(dim_n, fld)
-    if n >= 1:
-        prev = cx.coboundary(n - 1)
-        for col in range(prev.cols):
-            vec = [fld.of(0)] * dim_n
-            for (r, c), v in prev.entries.items():
-                if c == col:
-                    vec[r] = fld.of(v)
-            span.add(vec)
+    span = FieldColumnSpan(len(basis_n), fld)
+    for col in _coboundary_columns(cx, n, fld):
+        span.add(col)
     reps = []
     for vec in kernel:
         if span.add(vec):
@@ -143,6 +137,11 @@ def cohomology_classes(space, n, grade, fld) -> CohomologyClassSet:
     return CohomologyClassSet(
         space=space, n=n, grade=grade, fld=fld, basis_tuples=basis_n, representatives=reps
     )
+
+
+def _coboundary_columns(cx, n, fld) -> list[dict]:
+    """Columns of delta_{n-1} (the coboundary image in degree n) as {row: value} dicts."""
+    return sparse_columns(cx.coboundary(n - 1), fld) if n >= 1 else []
 
 
 def cup(psi: Cochain, phi: Cochain) -> Cochain:
@@ -371,18 +370,9 @@ def ring_table(space, n_max: int, l_max, fld, grades=None) -> RingTable:
 def _class_coordinates_factory(space, target: CohomologyClassSet, fld):
     """Expansion of a cocycle in a class basis, modulo coboundaries."""
     basis = target.basis_tuples
-    dim = len(basis)
     rep_vecs = [cochain_vector(r, basis) for r in target.representatives]
     cx = magnitude_cochain_complex(space, target.grade, target.n, fld)
-    cob_cols = []
-    if target.n >= 1:
-        prev = cx.coboundary(target.n - 1)
-        for col in range(prev.cols):
-            vec = [fld.of(0)] * dim
-            for (r, c), v in prev.entries.items():
-                if c == col:
-                    vec[r] = fld.of(v)
-            cob_cols.append(vec)
+    cob_cols = _coboundary_columns(cx, target.n, fld)
 
     def coords(cochain: Cochain):
         target_vec = cochain_vector(cochain, basis)

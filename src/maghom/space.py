@@ -11,6 +11,7 @@ from collections import deque
 from fractions import Fraction
 
 from .errors import (
+    InvalidInput,
     InvalidSpaceError,
     NoFiniteDistance,
     NonzeroDiagonal,
@@ -78,7 +79,10 @@ def parse_dist(text):
         s = str(text).strip()
         if s.lower() in ("inf", "infinity", "oo"):
             return INF
-        value = Fraction(s)
+        try:
+            value = Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInput(f"bad distance literal {text!r}") from None
     return value
 
 

@@ -132,6 +132,60 @@ def dense_rank_qq(rows):
     return rank
 
 
+def dense_rref(rows, p=None):
+    """(nonzero rows of the reduced row echelon form, pivot columns) over Q or GF(p)."""
+    red = (lambda x: x) if p is None else (lambda x: x % p)
+    A = [[red(Fraction(v) if p is None else v) for v in r] for r in rows]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = 1 / A[r][c] if p is None else pow(A[r][c], p - 2, p)
+        A[r] = [red(x * inv) for x in A[r]]
+        for i in range(m):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [red(x - f * y) for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return A[: len(pivots)], pivots
+
+
+def dense_kernel_rref(rows, n, p=None):
+    """Basis of {v : Av = 0} in reduced echelon form: each vector's first
+    nonzero entry is 1 and every other vector is 0 there; sorted by it."""
+    R, pivots = dense_rref(rows, p)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -R[i][f] if p is None else -R[i][f] % p
+        basis.append(v)
+    return dense_rref(basis, p)[0] if basis else []
+
+
+def dense_solve(columns, target, p=None):
+    """Solution of sum_j x_j columns[j] = target that is 0 on every column
+    depending on earlier ones, by Gauss-Jordan on [columns | target]; None
+    when target lies outside the span."""
+    k = len(columns)
+    aug = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
+    R, pivots = dense_rref(aug, p)
+    if k in pivots:
+        return None
+    coeffs = [0] * k
+    for i, c in enumerate(pivots):
+        coeffs[c] = R[i][k]
+    return coeffs
+
+
 def all_paths_up_to(vertices, arcs, max_len):
     """Every directed path (vertex tuple) with at most max_len arcs."""
     adj = {v: [] for v in vertices}

@@ -236,3 +236,49 @@ def test_grades_are_exact_strings(capsys, tmp_path):
     assert code == 0
     grades = {r["l"] for r in json.loads(out)["rows"]}
     assert grades == {"0", "1/2", "1", "3/2"}
+
+
+def _error(code, out):
+    assert code == 1
+    return json.loads(out)
+
+
+def test_truncated_json_is_a_structured_error(capsys, tmp_path):
+    p = tmp_path / "cut.json"
+    p.write_text('{"points": ["a", "b"], "dist": [["0", "1"]')
+    err = _error(*run(capsys, "mh", str(p)))
+    assert err["error"] == "InvalidInput" and "not valid JSON" in err["detail"]
+
+
+def test_bad_distance_literal_is_a_structured_error(capsys, tmp_path):
+    p = tmp_path / "lit.json"
+    for literal in ("x", "1/0"):
+        p.write_text(json.dumps({"points": ["a", "b"], "dist": [["0", literal], ["1", "0"]]}))
+        err = _error(*run(capsys, "mh", str(p)))
+        assert err == {"error": "InvalidInput", "detail": f"bad distance literal {literal!r}"}
+
+
+def test_wrongly_typed_input_is_a_structured_error(capsys, tmp_path):
+    p = tmp_path / "typed.json"
+    p.write_text(json.dumps({"points": 5, "dist": 3}))
+    assert _error(*run(capsys, "mh", str(p)))["error"] == "InvalidInput"
+
+
+def test_unknown_format_is_rejected_before_computing(capsys, k2_file, monkeypatch):
+    import maghom.cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("handler ran before the format was checked")
+
+    monkeypatch.setitem(cli_mod.COMMANDS, "mh", never)
+    err = _error(*run(capsys, "mh", k2_file, "--format", "xml"))
+    assert err["error"] == "UnsupportedFormat"
+
+
+def test_unknown_field_is_a_structured_error(capsys, k2_file):
+    assert _error(*run(capsys, "mh", k2_file, "--field", "R"))["error"] == "InvalidField"
+
+
+def test_seed_is_only_a_gen_flag(capsys, k2_file):
+    with pytest.raises(SystemExit):
+        main(["mh", k2_file, "--seed", "3"])

@@ -19,7 +19,7 @@ from maghom.linalg import (
     xgcd,
 )
 
-from oracles import dense_rank_qq, dense_snf
+from oracles import dense_kernel_rref, dense_rank_qq, dense_rref, dense_snf, dense_solve
 
 
 def M(rows, **kw):
@@ -103,6 +103,8 @@ def test_rank_matches_snf_count():
         rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
         mat = M(rows)
         assert rank_over_field(mat, QQ) == len(snf(mat)) == dense_rank_qq(rows)
+        for p in (2, 3, 5):
+            assert rank_over_field(mat, PrimeField(p)) == len(dense_rref(rows, p)[1])
 
 
 def test_homology_at_free():
@@ -152,7 +154,7 @@ def test_integer_kernel_basis():
 def test_kernel_basis_over_field_and_span():
     mat = M([[1, 1, 0], [0, 0, 0]])
     basis = kernel_basis_over_field(mat, QQ)
-    assert len(basis) == 2
+    assert basis == [[1, -1, 0], [0, 0, 1]]
     span = FieldColumnSpan(3, QQ)
     for v in basis:
         assert span.add(v)
@@ -166,11 +168,54 @@ def test_kernel_over_prime_field():
     assert len(kernel_basis_over_field(mat, QQ)) == 1
 
 
+def test_kernel_is_the_reduced_echelon_basis():
+    # not just some basis: the unique one whose vectors start with 1 and
+    # vanish at every other vector's leading position
+    rng = random.Random(19)
+    for fld, p in ((QQ, None), (PrimeField(3), 3)):
+        for _ in range(40):
+            m, n = rng.randrange(1, 5), rng.randrange(1, 7)
+            rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)]
+            assert kernel_basis_over_field(M(rows), fld) == dense_kernel_rref(rows, n, p)
+
+
+def test_span_keeps_reduced_echelon_form():
+    rng = random.Random(23)
+    for fld in (QQ, PrimeField(3)):
+        span = FieldColumnSpan(6, fld)
+        for _ in range(8):
+            span.add([rng.randrange(-2, 3) for _ in range(6)])
+            for piv, vec in span.pivots.items():
+                assert min(vec) == piv and vec[piv] == 1
+                assert all(vec.get(q, 0) == 0 for q in span.pivots if q != piv)
+
+
 def test_solve_in_span():
     cols = [[1, 0, 1], [0, 1, 1]]
     sol = solve_in_span(cols, [2, 3, 5], QQ)
     assert sol == [Fraction(2), Fraction(3)]
     assert solve_in_span(cols, [1, 0, 0], QQ) is None
+    # a duplicated column and a dependent one get coefficient 0
+    cols = [[1, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 2]]
+    assert solve_in_span(cols, [2, 3, 5], QQ) == [2, 0, 3, 0]
+
+
+def test_solve_in_span_matches_gauss_jordan():
+    rng = random.Random(29)
+    for fld, p in ((QQ, None), (PrimeField(3), 3)):
+        for _ in range(40):
+            m = rng.randrange(1, 6)
+            base = [[rng.randrange(-3, 4) for _ in range(m)] for _ in range(rng.randrange(1, 4))]
+            extra = [list(rng.choice(base)), [a - 2 * b for a, b in zip(base[0], rng.choice(base))]]
+            cols = base + extra
+            rng.shuffle(cols)
+            weights = [rng.randrange(-2, 3) for _ in cols]
+            inside = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(m)]
+            outside = [rng.randrange(-3, 4) for _ in range(m)]
+            for target in (inside, outside):
+                expected = dense_solve(cols, target, p)
+                assert solve_in_span(cols, target, fld) == expected
+            assert dense_solve(cols, inside, p) is not None
 
 
 def test_block_helpers():
