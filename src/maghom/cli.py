@@ -18,13 +18,13 @@ from fractions import Fraction
 from . import io as mio
 from .chain import magnitude_complex, magnitude_complex_with_coefficients
 from .distmod import coinvariants, invariants, trivial_module, validate_module
-from .errors import InvalidField, MagnitudeError, UnsupportedFormat
+from .errors import InvalidField, InvalidInput, MagnitudeError, UnsupportedFormat
 from .gen import random_space
 from .linalg import QQ, PrimeField
 from .quiver import quiver_relations
 from .resolution import bar_resolution, ext_bidegree, tor_bidegree
 from .ring import ring_table
-from .space import attainable_grades, format_dist, parse_dist
+from .space import INF, attainable_grades, format_dist, parse_dist
 
 
 @dataclass
@@ -39,6 +39,8 @@ class JobSpec:
     def __post_init__(self):
         if self.n_max < 0 or self.l_max < 0:
             raise MagnitudeError("nmax and lmax must be nonnegative")
+        if self.l_max is INF:
+            raise InvalidInput("lmax must be finite")
 
 
 INTEGERS = "Z"
@@ -343,8 +345,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise InvalidInput, so they reach the JSON error object."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maghom",
         description="Magnitude homology of finite quasimetric spaces and digraphs",
     )
@@ -364,7 +373,6 @@ def build_parser():
     gen = sub.add_parser("gen", help="emit a seeded random space")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--points", type=int, default=4)
-    gen.add_argument("--format", dest="fmt", default="json")
     return parser
 
 

@@ -55,11 +55,10 @@ def load_module(data, base_dir: Path | None = None) -> tuple[QuasimetricSpace, D
         path = Path(ref)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        space = load_input(path)[1]
-        if not isinstance(space, QuasimetricSpace):
-            raise MagnitudeError(f"referenced file {ref!r} does not hold a space or digraph")
-    else:
-        space = load_space(ref) if "points" in ref else digraph_to_space(load_digraph(ref))
+        name, ref = ref, _read_json(path)
+        if sniff_kind(ref) == "module":
+            raise InvalidInput(f"referenced file {name!r} does not hold a space or digraph")
+    space = load_space(ref) if "points" in ref else digraph_to_space(load_digraph(ref))
     components = {}
     for label, pairs in data.get("components", {}).items():
         i = space.idx(label)
@@ -106,6 +105,15 @@ def sniff_kind(data) -> str:
     raise MagnitudeError("cannot determine input kind from JSON keys")
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except OSError as err:
+        raise InvalidInput(f"cannot read {path}: {err.strerror}") from None
+    except ValueError as err:  # bad JSON or bad text encoding
+        raise InvalidInput(f"{path} is not valid JSON: {err}") from None
+
+
 def load_input(path):
     """(kind, space, extra): extra is the digraph, the module, or None.
 
@@ -113,8 +121,8 @@ def load_input(path):
     InvalidInput; axiom violations keep their own MagnitudeError types.
     """
     path = Path(path)
+    data = _read_json(path)
     try:
-        data = json.loads(path.read_text())
         kind = sniff_kind(data)
         if kind == "digraph":
             graph = load_digraph(data)
@@ -125,10 +133,6 @@ def load_input(path):
         return "module", space, module
     except MagnitudeError:
         raise
-    except OSError as err:
-        raise InvalidInput(f"cannot read {path}: {err.strerror}") from None
-    except json.JSONDecodeError as err:
-        raise InvalidInput(f"{path} is not valid JSON: {err}") from None
     except (KeyError, TypeError, ValueError) as err:
         raise InvalidInput(f"{path} is malformed: {type(err).__name__}: {err}") from None
 

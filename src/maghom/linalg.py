@@ -214,57 +214,57 @@ class SparseMatrix:
         return out
 
 
-def _mirror_set(rows, cols, r, c, v):
+def _set(major, minor, i, j, v):
+    """major[i][j] = v, mirrored as minor[j][i]; a zero is dropped from both."""
     if v:
-        rows[r][c] = v
-        cols[c][r] = v
+        major[i][j] = v
+        minor[j][i] = v
     else:
-        rows[r].pop(c, None)
-        cols[c].pop(r, None)
+        major[i].pop(j, None)
+        minor[j].pop(i, None)
 
 
-def _row_axpy(rows, cols, target, source, q):
-    """row[target] += q * row[source]"""
-    src = rows[source]
-    tgt = rows[target]
-    for c, v in list(src.items()):
-        _mirror_set(rows, cols, target, c, tgt.get(c, 0) + q * v)
+def _combine(v0, v1, x, y, u, w):
+    """The pair (x*v0 + y*v1, u*v0 + w*v1) of sparse vectors, zeros dropped."""
+    out0, out1 = {}, {}
+    for k in v0.keys() | v1.keys():
+        a, b = v0.get(k, 0), v1.get(k, 0)
+        if s := x * a + y * b:
+            out0[k] = s
+        if t := u * a + w * b:
+            out1[k] = t
+    return out0, out1
 
 
-def _col_axpy(rows, cols, target, source, q):
-    """col[target] += q * col[source]"""
-    src = cols[source]
-    tgt = cols[target]
-    for r, v in list(src.items()):
-        _mirror_set(rows, cols, r, target, tgt.get(r, 0) + q * v)
+def _clear(major, minor, i0, j0, track=None):
+    """Zero line j0 of minor outside i0 by unimodular operations on major's lines.
 
-
-def _row_gcd_combine(rows, cols, r0, r1, c):
-    """Unimodular combination putting gcd at (r0, c) and 0 at (r1, c)."""
-    a = rows[r0][c]
-    b = rows[r1][c]
-    g, x, y = xgcd(a, b)
-    u, w = -(b // g), a // g
-    support = set(rows[r0]) | set(rows[r1])
-    for cc in support:
-        aa = rows[r0].get(cc, 0)
-        bb = rows[r1].get(cc, 0)
-        _mirror_set(rows, cols, r0, cc, x * aa + y * bb)
-        _mirror_set(rows, cols, r1, cc, u * aa + w * bb)
-
-
-def _col_gcd_combine(rows, cols, c0, c1, r):
-    """Unimodular combination putting gcd at (r, c0) and 0 at (r, c1)."""
-    a = cols[c0][r]
-    b = cols[c1][r]
-    g, x, y = xgcd(a, b)
-    u, w = -(b // g), a // g
-    support = set(cols[c0]) | set(cols[c1])
-    for rr in support:
-        aa = cols[c0].get(rr, 0)
-        bb = cols[c1].get(rr, 0)
-        _mirror_set(rows, cols, rr, c0, x * aa + y * bb)
-        _mirror_set(rows, cols, rr, c1, u * aa + w * bb)
+    On (rows, cols) these are row operations clearing column j0 around the
+    pivot (i0, j0); on (cols, rows) they are column operations clearing row
+    j0.  track, when given, holds one sparse vector per line of major and
+    receives every operation too.
+    """
+    for i in [i for i in minor[j0] if i != i0]:
+        a = major[i0][j0]
+        b = major[i][j0]
+        line0, line = major[i0], major[i]
+        if b % a == 0:
+            q = b // a
+            for j, v in line0.items():
+                _set(major, minor, i, j, line.get(j, 0) - q * v)
+            if track is not None:
+                _axpy(track[i], q, track[i0], None)
+        else:
+            # gcd lands at (i0, j0), 0 at (i, j0)
+            g, x, y = xgcd(a, b)
+            u, w = -(b // g), a // g
+            for j in set(line0) | set(line):
+                aa = line0.get(j, 0)
+                bb = line.get(j, 0)
+                _set(major, minor, i0, j, x * aa + y * bb)
+                _set(major, minor, i, j, u * aa + w * bb)
+            if track is not None:
+                track[i0], track[i] = _combine(track[i0], track[i], x, y, u, w)
 
 
 def _pick_pivot(rows, cols):
@@ -283,18 +283,23 @@ def _pick_pivot(rows, cols):
     return best
 
 
-def snf(matrix: SparseMatrix) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
+def _diagonalize(matrix: SparseMatrix, track=None):
+    """Pivot values and pivot columns of a sparse Smith elimination.
 
-    Elimination uses unimodular row/column operations only; the pivot rule
-    (min |entry|, then min fill-in) keeps coefficient growth in check.
+    The matrix is held as rows and as columns.  Each pivot (min |entry|,
+    then min fill-in) is isolated by alternating row and column passes and
+    then removed, so unimodular U and Q bring the matrix to a diagonal form
+    U.M.Q with |entries| = the pivot values on the pivot columns and zero
+    columns elsewhere.  This is the only integer elimination loop; track,
+    when given, is a list of one sparse vector per column that receives
+    every column operation, turning a seeded identity into Q.
     """
     rows = {}
     cols = {}
     for (r, c), v in matrix.entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, {})[r] = v
-    diag = []
+    values, pivot_cols = [], []
     while rows:
         # drop empty rows/cols left behind by eliminations
         for r in [r for r, row in rows.items() if not row]:
@@ -305,33 +310,26 @@ def snf(matrix: SparseMatrix) -> list[int]:
             break
         r0, c0 = _pick_pivot(rows, cols)
         while True:
-            for r in [r for r in cols[c0] if r != r0]:
-                a = rows[r0][c0]
-                b = rows[r][c0]
-                if b % a == 0:
-                    _row_axpy(rows, cols, r, r0, -(b // a))
-                else:
-                    _row_gcd_combine(rows, cols, r0, r, c0)
-            others = [c for c in rows[r0] if c != c0]
-            if not others:
+            _clear(rows, cols, r0, c0)
+            if len(rows[r0]) == 1:
                 break
-            for c in others:
-                a = rows[r0][c0]
-                b = rows[r0][c]
-                if b % a == 0:
-                    _col_axpy(rows, cols, c, c0, -(b // a))
-                else:
-                    _col_gcd_combine(rows, cols, c0, c, r0)
+            _clear(cols, rows, c0, r0, track)
             if len(cols[c0]) == 1:
                 break
-        diag.append(abs(rows[r0][c0]))
-        for c in list(rows[r0]):
-            cols[c].pop(r0, None)
-        del rows[r0]
-        for r in list(cols.get(c0, ())):
-            rows[r].pop(c0, None)
-        cols.pop(c0, None)
-    # enforce the divisibility chain d_1 | d_2 | ...
+        # the pivot is now alone in its row and its column
+        values.append(abs(rows[r0][c0]))
+        pivot_cols.append(c0)
+        del rows[r0], cols[c0]
+    return values, pivot_cols
+
+
+def snf(matrix: SparseMatrix) -> list[int]:
+    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
+
+    The pivot values of the diagonalization, fixed up into a divisibility
+    chain.
+    """
+    diag, _ = _diagonalize(matrix)
     changed = True
     while changed:
         changed = False
@@ -343,6 +341,20 @@ def snf(matrix: SparseMatrix) -> list[int]:
                     changed = True
     diag.sort()
     return diag
+
+
+def integer_kernel_basis(matrix: SparseMatrix) -> list[list[int]]:
+    """Basis of the kernel lattice {v : Mv = 0} of an integer matrix.
+
+    The diagonalization's column transform Q is unimodular and M.Q is zero
+    outside the pivot columns, so Q's other columns, in column order, are a
+    basis of the kernel lattice.
+    """
+    n = matrix.cols
+    q = [{j: 1} for j in range(n)]
+    _, pivot_cols = _diagonalize(matrix, q)
+    pivots = set(pivot_cols)
+    return [[col.get(i, 0) for i in range(n)] for j, col in enumerate(q) if j not in pivots]
 
 
 @dataclass(frozen=True)
@@ -384,84 +396,6 @@ def homology_at(d_n: SparseMatrix, d_np1: SparseMatrix, dim_n: int, n=0, grade=F
     betti = dim_n - rank_over_field(d_n, QQ) - len(factors)
     torsion = tuple(d for d in factors if d > 1)
     return HomologySummary(n=n, grade=grade, betti=betti, torsion=torsion)
-
-
-# ---------------------------------------------------------------------------
-# integer kernels: dense, with unimodular transforms
-
-
-def integer_kernel_basis(matrix: SparseMatrix) -> list[list[int]]:
-    """Basis of the kernel lattice {v : Mv = 0} of an integer matrix.
-
-    Diagonalize by unimodular operations while tracking column transforms;
-    zero columns of the diagonal form pull back to a lattice basis (the
-    kernel of an integer matrix is saturated, hence torsion-free).
-    """
-    m, n = matrix.rows, matrix.cols
-    D = matrix.to_dense()
-    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def improve_with_row_ops(i1, i2, j):
-        # gcd of column j lands at (i1, j); (i2, j) becomes 0
-        a, b = D[i1][j], D[i2][j]
-        if b == 0:
-            return
-        if a == 0:
-            D[i1], D[i2] = D[i2], D[i1]
-            return
-        if b % a == 0:
-            q = -(b // a)
-            R1, R2 = D[i1], D[i2]
-            for jj in range(n):
-                R2[jj] += q * R1[jj]
-            return
-        g, x, y = xgcd(a, b)
-        u, w = -(b // g), a // g
-        R1, R2 = D[i1], D[i2]
-        for jj in range(n):
-            aa, bb = R1[jj], R2[jj]
-            R1[jj], R2[jj] = x * aa + y * bb, u * aa + w * bb
-
-    def improve_with_col_ops(j1, j2, i):
-        a, b = D[i][j1], D[i][j2]
-        if b == 0:
-            return
-        if a == 0:
-            for row in D:
-                row[j1], row[j2] = row[j2], row[j1]
-            for row in T:
-                row[j1], row[j2] = row[j2], row[j1]
-            return
-        if b % a == 0:
-            q = -(b // a)
-            for row in D:
-                row[j2] += q * row[j1]
-            for row in T:
-                row[j2] += q * row[j1]
-            return
-        g, x, y = xgcd(a, b)
-        u, w = -(b // g), a // g
-        for row in D:
-            aa, bb = row[j1], row[j2]
-            row[j1], row[j2] = x * aa + y * bb, u * aa + w * bb
-        for row in T:
-            aa, bb = row[j1], row[j2]
-            row[j1], row[j2] = x * aa + y * bb, u * aa + w * bb
-
-    for k in range(min(m, n)):
-        while True:
-            for i in range(k + 1, m):
-                improve_with_row_ops(k, i, k)
-            if all(D[k][j] == 0 for j in range(k + 1, n)):
-                break
-            for j in range(k + 1, n):
-                improve_with_col_ops(k, j, k)
-            if all(D[i][k] == 0 for i in range(k + 1, m)):
-                break
-    kernel_cols = [j for j in range(n) if all(D[i][j] == 0 for i in range(m))]
-    return [[T[i][j] for i in range(n)] for j in kernel_cols]
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,7 @@ class CohomologyClassSet:
     fld: object
     basis_tuples: list
     representatives: list  # list of Cochain
+    coboundary_columns: list  # im delta_{n-1} as {row: value} dicts
 
     def dim(self):
         return len(self.representatives)
@@ -127,21 +128,23 @@ def cohomology_classes(space, n, grade, fld) -> CohomologyClassSet:
     cx = magnitude_cochain_complex(space, grade, n, fld)
     basis_n = cx.bases[n]
     kernel = kernel_basis_over_field(cx.coboundary(n), fld)
+    cob_cols = sparse_columns(cx.coboundary(n - 1), fld) if n >= 1 else []
     span = FieldColumnSpan(len(basis_n), fld)
-    for col in _coboundary_columns(cx, n, fld):
+    for col in cob_cols:
         span.add(col)
     reps = []
     for vec in kernel:
         if span.add(vec):
             reps.append(cochain_from_vector(space, n, grade, fld, basis_n, vec))
     return CohomologyClassSet(
-        space=space, n=n, grade=grade, fld=fld, basis_tuples=basis_n, representatives=reps
+        space=space,
+        n=n,
+        grade=grade,
+        fld=fld,
+        basis_tuples=basis_n,
+        representatives=reps,
+        coboundary_columns=cob_cols,
     )
-
-
-def _coboundary_columns(cx, n, fld) -> list[dict]:
-    """Columns of delta_{n-1} (the coboundary image in degree n) as {row: value} dicts."""
-    return sparse_columns(cx.coboundary(n - 1), fld) if n >= 1 else []
 
 
 def cup(psi: Cochain, phi: Cochain) -> Cochain:
@@ -350,7 +353,7 @@ def ring_table(space, n_max: int, l_max, fld, grades=None) -> RingTable:
             target = classes.get(target_key)
             if target is None:
                 target = cohomology_classes(space, m + n, s + l, fld)
-            coords = _class_coordinates_factory(space, target, fld)
+            coords = _class_coordinates_factory(target, fld)
             for i, psi in enumerate(left_cs.representatives):
                 for j, phi in enumerate(right_cs.representatives):
                     prod = cup(psi, phi)
@@ -367,12 +370,11 @@ def ring_table(space, n_max: int, l_max, fld, grades=None) -> RingTable:
     )
 
 
-def _class_coordinates_factory(space, target: CohomologyClassSet, fld):
+def _class_coordinates_factory(target: CohomologyClassSet, fld):
     """Expansion of a cocycle in a class basis, modulo coboundaries."""
     basis = target.basis_tuples
     rep_vecs = [cochain_vector(r, basis) for r in target.representatives]
-    cx = magnitude_cochain_complex(space, target.grade, target.n, fld)
-    cob_cols = _coboundary_columns(cx, target.n, fld)
+    cob_cols = target.coboundary_columns
 
     def coords(cochain: Cochain):
         target_vec = cochain_vector(cochain, basis)

@@ -280,5 +280,30 @@ def test_unknown_field_is_a_structured_error(capsys, k2_file):
 
 
 def test_seed_is_only_a_gen_flag(capsys, k2_file):
-    with pytest.raises(SystemExit):
-        main(["mh", k2_file, "--seed", "3"])
+    assert _error(*run(capsys, "mh", k2_file, "--seed", "3"))["error"] == "InvalidInput"
+
+
+def test_argument_errors_are_structured_errors(capsys, k2_file):
+    for argv in (
+        ["mh", k2_file, "--lmax", "x"],
+        ["mh", k2_file, "--nmax", "abc"],
+        ["gen", "--format", "csv"],
+        ["nosuch"],
+    ):
+        assert _error(*run(capsys, *argv))["error"] == "InvalidInput"
+
+
+def test_infinite_lmax_is_rejected_before_computing(capsys, c3_file):
+    # a cycle has attainable grades without bound
+    err = _error(*run(capsys, "mh", c3_file, "--lmax", "inf"))
+    assert err == {"error": "InvalidInput", "detail": "lmax must be finite"}
+
+
+def test_module_file_referencing_itself_is_a_structured_error(capsys, tmp_path):
+    p = tmp_path / "self.json"
+    p.write_text(json.dumps({"space": "self.json", "components": {"a": [["0", 1]]}}))
+    err = _error(*run(capsys, "inv", str(p)))
+    assert err == {
+        "error": "InvalidInput",
+        "detail": "referenced file 'self.json' does not hold a space or digraph",
+    }

@@ -139,9 +139,17 @@ def test_homology_summary_checks_chain():
 
 def test_integer_kernel_basis():
     rng = random.Random(13)
-    for _ in range(25):
+    for trial in range(60):
         m, n = rng.randrange(1, 5), rng.randrange(1, 6)
-        rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
+        density = (1.0, 0.5, 0.25)[trial % 3]
+        rows = [
+            [rng.randrange(-4, 5) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+        if trial % 4 == 0:
+            zero_col = rng.randrange(n)
+            for row in rows:
+                row[zero_col] = 0
         mat = M(rows)
         basis = integer_kernel_basis(mat)
         for vec in basis:
@@ -149,6 +157,9 @@ def test_integer_kernel_basis():
                 sum(rows[i][j] * vec[j] for j in range(n)) == 0 for i in range(m)
             )
         assert len(basis) == n - dense_rank_qq(rows)
+        # saturated: the basis spans the whole kernel lattice, not a sublattice
+        if basis:
+            assert dense_snf(basis) == [1] * len(basis)
 
 
 def test_kernel_basis_over_field_and_span():
