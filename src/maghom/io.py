@@ -62,7 +62,10 @@ def load_module(data, base_dir: Path | None = None) -> tuple[QuasimetricSpace, D
     components = {}
     for label, pairs in data.get("components", {}).items():
         i = space.idx(label)
-        components[i] = {parse_dist(g): int(r) for g, r in pairs}
+        ranks = {parse_dist(g): int(r) for g, r in pairs}
+        if any(r < 0 for r in ranks.values()):
+            raise InvalidInput(f"negative rank at point {label!r}")
+        components[i] = ranks
     for i in range(len(space)):
         components.setdefault(i, {})
     actions = {}
@@ -102,7 +105,7 @@ def sniff_kind(data) -> str:
         return "module"
     if "points" in data and "dist" in data:
         return "space"
-    raise MagnitudeError("cannot determine input kind from JSON keys")
+    raise InvalidInput("cannot determine input kind from JSON keys")
 
 
 def _read_json(path: Path):

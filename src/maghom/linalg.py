@@ -283,43 +283,76 @@ def _pick_pivot(rows, cols):
     return best
 
 
+def _blocks(matrix: SparseMatrix) -> list[list]:
+    """The nonzero entries grouped into the matrix's connected blocks.
+
+    Rows and columns are the nodes of a graph whose edges are the entries;
+    union-find joins the row and the column of every entry (column c is
+    node ~c).  Blocks come in the order of their first entry and keep their
+    entries in the matrix's order, as ((row, col), value) pairs.  Row and
+    column operations inside one block never touch another, so each block
+    can be eliminated alone.
+    """
+    parent = {}
+
+    def find(x):
+        root = x
+        while (up := parent.setdefault(root, root)) != root:
+            root = up
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for r, c in matrix.entries:
+        a, b = find(r), find(~c)
+        if a != b:
+            parent[a] = b
+    blocks = {}
+    for key, v in matrix.entries.items():
+        blocks.setdefault(find(key[0]), []).append((key, v))
+    return list(blocks.values())
+
+
 def _diagonalize(matrix: SparseMatrix, track=None):
     """Pivot values and pivot columns of a sparse Smith elimination.
 
-    The matrix is held as rows and as columns.  Each pivot (min |entry|,
-    then min fill-in) is isolated by alternating row and column passes and
-    then removed, so unimodular U and Q bring the matrix to a diagonal form
-    U.M.Q with |entries| = the pivot values on the pivot columns and zero
-    columns elsewhere.  This is the only integer elimination loop; track,
+    Each connected block is held as rows and as columns and eliminated on
+    its own.  Each pivot (min |entry|, then min fill-in) is isolated by
+    alternating row and column passes and then removed, so unimodular U and
+    Q bring the matrix to a diagonal form U.M.Q with |entries| = the pivot
+    values on the pivot columns and zero columns elsewhere.  A block sees
+    the pivots that one elimination of the whole matrix would pick in it,
+    in the same order.  This is the only integer elimination loop; track,
     when given, is a list of one sparse vector per column that receives
     every column operation, turning a seeded identity into Q.
     """
-    rows = {}
-    cols = {}
-    for (r, c), v in matrix.entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, {})[r] = v
     values, pivot_cols = [], []
-    while rows:
-        # drop empty rows/cols left behind by eliminations
-        for r in [r for r, row in rows.items() if not row]:
-            del rows[r]
-        for c in [c for c, col in cols.items() if not col]:
-            del cols[c]
-        if not rows:
-            break
-        r0, c0 = _pick_pivot(rows, cols)
-        while True:
-            _clear(rows, cols, r0, c0)
-            if len(rows[r0]) == 1:
+    for block in _blocks(matrix):
+        rows = {}
+        cols = {}
+        for (r, c), v in block:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, {})[r] = v
+        while rows:
+            # drop empty rows/cols left behind by eliminations
+            for r in [r for r, row in rows.items() if not row]:
+                del rows[r]
+            for c in [c for c, col in cols.items() if not col]:
+                del cols[c]
+            if not rows:
                 break
-            _clear(cols, rows, c0, r0, track)
-            if len(cols[c0]) == 1:
-                break
-        # the pivot is now alone in its row and its column
-        values.append(abs(rows[r0][c0]))
-        pivot_cols.append(c0)
-        del rows[r0], cols[c0]
+            r0, c0 = _pick_pivot(rows, cols)
+            while True:
+                _clear(rows, cols, r0, c0)
+                if len(rows[r0]) == 1:
+                    break
+                _clear(cols, rows, c0, r0, track)
+                if len(cols[c0]) == 1:
+                    break
+            # the pivot is now alone in its row and its column
+            values.append(abs(rows[r0][c0]))
+            pivot_cols.append(c0)
+            del rows[r0], cols[c0]
     return values, pivot_cols
 
 
@@ -327,9 +360,12 @@ def snf(matrix: SparseMatrix) -> list[int]:
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
 
     The pivot values of the diagonalization, fixed up into a divisibility
-    chain.
+    chain.  Unit pivots divide everything, so only the others enter the
+    fix-up.
     """
     diag, _ = _diagonalize(matrix)
+    units = diag.count(1)
+    diag = [d for d in diag if d != 1]
     changed = True
     while changed:
         changed = False
@@ -340,7 +376,7 @@ def snf(matrix: SparseMatrix) -> list[int]:
                     diag[i], diag[j] = g, diag[i] * diag[j] // g
                     changed = True
     diag.sort()
-    return diag
+    return [1] * units + diag
 
 
 def integer_kernel_basis(matrix: SparseMatrix) -> list[list[int]]:
@@ -506,11 +542,23 @@ class FieldColumnSpan:
 
 
 def rank_over_field(matrix: SparseMatrix, fld) -> int:
-    """Exact rank over QQ or GF(p): the rank of the span of the columns."""
-    span = FieldColumnSpan(matrix.rows, fld)
-    for col in sparse_columns(matrix, span.fld):
-        span._insert(col)
-    return span.rank()
+    """Exact rank over QQ or GF(p): the sum of the connected blocks' ranks.
+
+    Each block's columns span a space of their own, so the reduced echelon
+    form of one block never back-substitutes into another's pivots.
+    """
+    fld = check_field(fld)
+    rank = 0
+    for block in _blocks(matrix):
+        cols = {}
+        for (r, c), v in block:
+            if v := fld.of(v):
+                cols.setdefault(c, {})[r] = v
+        span = FieldColumnSpan(matrix.rows, fld)
+        for c in sorted(cols):
+            span._insert(cols[c])
+        rank += span.rank()
+    return rank
 
 
 def kernel_basis_over_field(matrix: SparseMatrix, fld) -> list[list]:

@@ -338,21 +338,19 @@ def ring_table(space, n_max: int, l_max, fld, grades=None) -> RingTable:
     l_max = parse_dist(l_max)
     if grades is None:
         grades = attainable_grades(space, l_max)
-    classes = {}
-    for g in grades:
-        for n in range(n_max + 1):
-            cs = cohomology_classes(space, n, g, fld)
-            if cs.dim():
-                classes[(n, g)] = cs
+    built = {
+        (n, g): cohomology_classes(space, n, g, fld) for g in grades for n in range(n_max + 1)
+    }
+    classes = {key: cs for key, cs in built.items() if cs.dim()}
     products = []
     for (m, s), left_cs in sorted(classes.items()):
         for (n, l), right_cs in sorted(classes.items()):
             if m + n > n_max or s + l > l_max:
                 continue
             target_key = (m + n, s + l)
-            target = classes.get(target_key)
+            target = built.get(target_key)
             if target is None:
-                target = cohomology_classes(space, m + n, s + l, fld)
+                target = built[target_key] = cohomology_classes(space, *target_key, fld)
             coords = _class_coordinates_factory(target, fld)
             for i, psi in enumerate(left_cs.representatives):
                 for j, phi in enumerate(right_cs.representatives):

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -307,3 +308,55 @@ def test_module_file_referencing_itself_is_a_structured_error(capsys, tmp_path):
         "error": "InvalidInput",
         "detail": "referenced file 'self.json' does not hold a space or digraph",
     }
+
+
+def test_unknown_input_shape_is_invalid_input(capsys, tmp_path):
+    p = tmp_path / "shape.json"
+    p.write_text(json.dumps({"points": ["a"], "comp0nents": {"a": [["0", 1]]}}))
+    err = _error(*run(capsys, "validate", str(p)))
+    assert err == {"error": "InvalidInput", "detail": "cannot determine input kind from JSON keys"}
+
+
+def test_negative_module_rank_is_invalid_input(capsys, tmp_path):
+    space = {"points": ["a", "b"], "dist": [["0", "1"], ["inf", "0"]]}
+    p = tmp_path / "neg.json"
+    p.write_text(json.dumps({"space": space, "components": {"a": [["0", -1]]}}))
+    err = _error(*run(capsys, "mh", str(p)))
+    assert err == {"error": "InvalidInput", "detail": "negative rank at point 'a'"}
+
+
+def test_mutated_inputs_never_raise(capsysbinary, tmp_path):
+    # seeded truncations and one-character edits of small valid files: every
+    # run exits 0, or 1 with the structured error (or validate's own report)
+    module = {
+        "space": {"points": ["a", "b"], "dist": [["0", "1"], ["inf", "0"]]},
+        "components": {"a": [["0", 1]], "b": [["1", 1]]},
+        "actions": {"a->b": {"0": [[2]]}},
+    }
+    space = {
+        "points": ["x", "y", "z"],
+        "dist": [["0", "1", "5/2"], ["1/2", "0", "3/2"], ["1/2", "3/2", "0"]],
+    }
+    seeds = [json.dumps(mio.dump_digraph(directed_cycle(3))), json.dumps(space), json.dumps(module)]
+    alphabet = '0123456789/-.,:[]{}"ab e\\'
+    rng = random.Random(3)
+    p = tmp_path / "in.json"
+    for _ in range(300):
+        text = rng.choice(seeds)
+        i = rng.randrange(len(text))
+        edit = rng.randrange(4)
+        if edit == 0:
+            text = text[:i]
+        elif edit == 1:
+            text = text[:i] + text[i + 1 :]
+        else:
+            # replace or insert one character
+            text = text[:i] + rng.choice(alphabet) + text[i + (edit == 2) :]
+        p.write_text(text)
+        for cmd, flags in (("validate", []), ("mh", ["--nmax", "2", "--lmax", "2"])):
+            code = main([cmd, str(p), *flags, "--format", "json"])
+            out = json.loads(capsysbinary.readouterr().out)
+            if code != 0:
+                assert code == 1, text
+                report = cmd == "validate" and out.get("status") == "invalid"
+                assert report or set(out) == {"error", "detail"}, text

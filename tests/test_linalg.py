@@ -10,6 +10,7 @@ from maghom.linalg import (
     HomologySummary,
     PrimeField,
     SparseMatrix,
+    _blocks,
     homology_at,
     integer_kernel_basis,
     kernel_basis_over_field,
@@ -160,6 +161,72 @@ def test_integer_kernel_basis():
         # saturated: the basis spans the whole kernel lattice, not a sublattice
         if basis:
             assert dense_snf(basis) == [1] * len(basis)
+
+
+def _shuffled(blocks, rng, spare_rows=0, spare_cols=0):
+    """Dense rows of block_diag(blocks) plus zero lines, rows and columns shuffled."""
+    diag = SparseMatrix.block_diag([M(b) for b in blocks]).to_dense()
+    n = len(diag[0]) + spare_cols if diag else spare_cols
+    dense = [row + [0] * spare_cols for row in diag] + [[0] * n for _ in range(spare_rows)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    dense = [[row[j] for j in perm] for row in dense]
+    rng.shuffle(dense)
+    return dense
+
+
+def _random_blocks(rng):
+    blocks = []
+    for _ in range(rng.randrange(1, 7)):
+        m, n = rng.randrange(1, 4), rng.randrange(1, 4)
+        density = rng.choice((1.0, 0.7, 0.4))
+        blocks.append(
+            [
+                [rng.randrange(-6, 7) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)
+            ]
+        )
+    return blocks
+
+
+def test_block_diagonal_matrices_match_dense_oracles():
+    rng = random.Random(31)
+    for _ in range(120):
+        rows = _shuffled(_random_blocks(rng), rng, rng.randrange(3), rng.randrange(3))
+        n = len(rows[0])
+        mat = M(rows)
+        factors = snf(mat)
+        assert factors == dense_snf(rows)
+        assert rank_over_field(mat, QQ) == dense_rank_qq(rows) == len(factors)
+        for p in (2, 3):
+            assert rank_over_field(mat, PrimeField(p)) == len(dense_rref(rows, p)[1])
+        basis = integer_kernel_basis(mat)
+        for vec in basis:
+            assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+        assert len(basis) == n - len(factors)
+        if basis:
+            assert dense_snf(basis) == [1] * len(basis)
+
+
+def test_blocks_are_the_connected_components():
+    rows = _shuffled([[[1]], [[2]], [[4]], [[6]]], random.Random(37), 2, 1)
+    blocks = _blocks(M(rows))
+    assert sorted(len(b) for b in blocks) == [1, 1, 1, 1]
+    chain = M([[1, 1, 0], [0, 1, 1], [0, 0, 0], [5, 0, 0]])
+    assert [[key for key, _ in b] for b in _blocks(chain)] == [
+        [(0, 0), (0, 1), (1, 1), (1, 2), (3, 0)]
+    ]
+
+
+def test_torsion_merges_across_blocks():
+    rng = random.Random(41)
+    # Z/2 + Z/3 in two blocks is the single factor 6
+    assert snf(M(_shuffled([[[2]], [[3]]], rng, 1, 2))) == [1, 6]
+    assert snf(M(_shuffled([[[1]], [[2]], [[4]], [[6]]], rng, 2, 0))) == [1, 2, 2, 12]
+    # many unit pivots, some in non-diagonal unimodular blocks, beside one torsion block
+    units = [[[1]]] * 12 + [[[1, 1], [0, 1]]] * 4 + [[[2, 1], [1, 1]]] * 3
+    rows = _shuffled(units + [[[2, 4], [6, 8]]], rng, 3, 3)
+    assert snf(M(rows)) == [1] * 26 + [2, 4] == dense_snf(rows)
 
 
 def test_kernel_basis_over_field_and_span():

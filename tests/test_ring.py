@@ -285,3 +285,22 @@ def test_ring_table_point_duals_are_orthogonal_idempotents():
             assert p["result"] == [(QQ.of(1), i)]
         else:
             assert p["result"] == []
+
+
+def test_ring_table_builds_each_bidegree_once(monkeypatch):
+    # zero-dimensional targets are hit by several (left, right) pairs
+    import maghom.ring as ring
+    from maghom.gen import random_space
+
+    for space, n_max, l_max in ((c3(), 2, 2), (random_space(4, 3), 2, 2)):
+        calls = []
+
+        def counted(space, n, grade, fld, orig=ring.cohomology_classes):
+            calls.append((n, grade))
+            return orig(space, n, grade, fld)
+
+        monkeypatch.setattr(ring, "cohomology_classes", counted)
+        table = ring_table(space, n_max, l_max, QQ)
+        monkeypatch.undo()
+        assert len(calls) == len(set(calls))
+        assert all(cs.dim() for cs in table.classes.values())
