@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NoFiniteDistance, UnvalidatedModule
+from .errors import UnvalidatedModule
 from .linalg import (
     HomologySummary,
     PrimeField,
@@ -21,25 +21,41 @@ from .linalg import (
     homology_at,
     rank_over_field,
 )
-from .space import INF, QuasimetricSpace, min_positive_distance, parse_dist
+from .space import INF, QuasimetricSpace, parse_dist
 
 
 def tuple_grade(space: QuasimetricSpace, pts) -> Fraction:
     """Sum of consecutive distances; INF if some step is unreachable."""
-    total = Fraction(0)
+    scaled = space.scaled
+    total = 0
     for a, b in zip(pts, pts[1:]):
-        d = space.d(a, b)
-        if d is INF:
+        d = scaled[a][b]
+        if d is None:
             return INF
         total += d
-    return total
+    return space.grade_of(total)
 
 
-def _min_step(space):
-    try:
-        return min_positive_distance(space)
-    except NoFiniteDistance:
-        return None
+def _walks(space: QuasimetricSpace, n: int, cap: int, normalized: bool):
+    """All (n+1)-point tuples of grade <= cap units, as (tuple, units) pairs.
+
+    Built one step at a time; each level keeps lexicographic order because
+    every prefix is extended by its next points in increasing order.  A
+    prefix is dropped once the steps it still needs, each at least the
+    least allowed step, cannot fit under the cap.
+    """
+    steps = space.steps(distinct=normalized)
+    least = min((d for row in steps for _, d in row), default=0) if normalized else 0
+    level = [((i,), 0) for i in range(len(space))]
+    for left in range(n - 1, -1, -1):
+        bound = cap - left * least
+        level = [
+            (t + (j,), u + d)
+            for t, u in level
+            for j, d in steps[t[-1]]
+            if u + d <= bound
+        ]
+    return level
 
 
 def enumerate_tuples(space: QuasimetricSpace, n: int, grade, normalized: bool = True):
@@ -52,72 +68,20 @@ def enumerate_tuples(space: QuasimetricSpace, n: int, grade, normalized: bool = 
     grade = parse_dist(grade)
     if grade is INF or grade < 0:
         return []
-    npts = len(space)
-    if n == 0:
-        return [(i,) for i in range(npts)] if grade == 0 else []
-    delta = _min_step(space)
-    if normalized and (delta is None or grade < n * delta):
+    target = space.to_units(grade)
+    if target is None:
         return []
-    out = []
-    dist = space.dist
-    min_step = delta if normalized else Fraction(0)
-
-    def extend(prefix, last, remaining, steps_left):
-        if steps_left == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        if remaining < steps_left * min_step:
-            return
-        for nxt in range(npts):
-            if normalized and nxt == last:
-                continue
-            d = dist[last][nxt]
-            if d is INF or d > remaining:
-                continue
-            prefix.append(nxt)
-            extend(prefix, nxt, remaining - d, steps_left - 1)
-            prefix.pop()
-
-    for start in range(npts):
-        extend([start], start, grade, n)
-    return out
+    return [t for t, u in _walks(space, n, target, normalized) if u == target]
 
 
 def tuples_up_to_grade(space: QuasimetricSpace, n: int, cap, normalized: bool = True):
     """All (n+1)-point tuples of grade <= cap, as (tuple, grade) pairs, sorted."""
     cap = parse_dist(cap)
-    npts = len(space)
     if cap is INF or cap < 0:
         return []
-    if n == 0:
-        return [((i,), Fraction(0)) for i in range(npts)]
-    delta = _min_step(space)
-    if normalized and (delta is None or cap < n * delta):
-        return []
-    out = []
-    dist = space.dist
-    min_step = delta if normalized else Fraction(0)
-
-    def extend(prefix, last, used, steps_left):
-        if steps_left == 0:
-            out.append((tuple(prefix), used))
-            return
-        if used + steps_left * min_step > cap:
-            return
-        for nxt in range(npts):
-            if normalized and nxt == last:
-                continue
-            d = dist[last][nxt]
-            if d is INF or used + d > cap:
-                continue
-            prefix.append(nxt)
-            extend(prefix, nxt, used + d, steps_left - 1)
-            prefix.pop()
-
-    for start in range(npts):
-        extend([start], start, Fraction(0), n)
-    return out
+    pairs = _walks(space, n, space.floor_units(cap), normalized)
+    grades = {u: space.grade_of(u) for u in {u for _, u in pairs}}
+    return [(t, grades[u]) for t, u in pairs]
 
 
 @dataclass
@@ -229,7 +193,7 @@ def magnitude_complex_with_coefficients(space, module, grade, n_max: int) -> Bas
     """Normalized chain complex with coefficients in a distance module.
 
     Degree-n generators are pairs (t, j): a normalized tuple t = (x_0..x_n)
-    of grade g <= l together with the j-th basis vector of M(x_0) in grade
+    of grade g together with the j-th basis vector of M(x_0) in grade
     l - g.  The outer face at position 0 pushes the coefficient along the
     module action into M(x_1); the face at position n vanishes on normalized
     generators (its x_{n-1} = x_n condition fails).
@@ -239,10 +203,13 @@ def magnitude_complex_with_coefficients(space, module, grade, n_max: int) -> Bas
     if not module.validated:
         raise UnvalidatedModule("run validate_module first")
     grade = parse_dist(grade)
+    # a tuple of grade g meets M in grade l - g: below 0 only for a module
+    # with components in negative grades
+    cap = grade - min([0] + module.grades())
     bases = []
     for n in range(n_max + 2):
         basis = []
-        for t, g in tuples_up_to_grade(space, n, grade, normalized=True):
+        for t, g in tuples_up_to_grade(space, n, cap, normalized=True):
             r = module.rank_at(t[0], grade - g)
             basis.extend((t, j) for j in range(r))
         bases.append(basis)

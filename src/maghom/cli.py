@@ -306,9 +306,6 @@ def cmd_relations(space, module, job, graph=None):
 def cmd_inv(space, module, job):
     if module is None:
         raise MagnitudeError("inv needs a module input")
-    problems = validate_module(space, module)
-    if problems:
-        raise MagnitudeError(f"module invalid: {problems[0]}")
     rows = [
         {"grade": format_dist(b.grade), "rank": b.rank} for b in invariants(module)
     ]
@@ -318,9 +315,6 @@ def cmd_inv(space, module, job):
 def cmd_coinv(space, module, job):
     if module is None:
         raise MagnitudeError("coinv needs a module input")
-    problems = validate_module(space, module)
-    if problems:
-        raise MagnitudeError(f"module invalid: {problems[0]}")
     rows = [
         {
             "grade": format_dist(b.grade),
@@ -381,6 +375,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "gen":
+            if args.points < 0:
+                raise InvalidInput("--points must be nonnegative")
             space = random_space(args.points, args.seed)
             sys.stdout.write(json.dumps(mio.dump_space(space), sort_keys=True, indent=2) + "\n")
             return 0

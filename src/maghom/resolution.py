@@ -46,19 +46,24 @@ class BarResolution:
         for n in range(n_max + 1):
             pairs = tuples_up_to_grade(space, n + 1, self.l_max, normalized=False)
             tuples = [t for t, _ in pairs]
-            grades = {t: g for t, g in pairs}
             self.basis.append(tuples)
-            self.basis_grade.append([grades[t] for t in tuples])
+            self.basis_grade.append([g for _, g in pairs])
             self.basis_index.append({t: k for k, t in enumerate(tuples)})
-        # free generators: degree n is free on (n+1)-tuples (kept end doubled)
+        # free generators: degree n is free on (n+1)-tuples (kept end doubled),
+        # grouped by grade: grade -> generator indices, in generator order
         self.gens = []
         self.gen_grade = []
         self.gen_index = []
+        self._gen_groups = []
         for n in range(n_max + 1):
             pairs = tuples_up_to_grade(space, n, self.l_max, normalized=False)
+            groups = {}
+            for k, (_, g) in enumerate(pairs):
+                groups.setdefault(g, []).append(k)
             self.gens.append([t for t, _ in pairs])
             self.gen_grade.append([g for _, g in pairs])
             self.gen_index.append({t: k for k, (t, _) in enumerate(pairs)})
+            self._gen_groups.append(groups)
         self._boundaries = {}
         self._grade_blocks = {}
         self._gen_terms = {}
@@ -66,16 +71,14 @@ class BarResolution:
     # -- full tuple-basis differential ------------------------------------
 
     def _deletion_drop(self, t, p):
-        """Grade lost when deleting position p from tuple t (0 if preserved)."""
-        space = self.space
+        """Grade lost, in units of 1/D, when deleting position p from tuple t."""
+        scaled = self.space.scaled
         last = len(t) - 1
         if p == 0:
-            return space.d(t[0], t[1])
+            return scaled[t[0]][t[1]]
         if p == last:
-            return space.d(t[last - 1], t[last])
-        lost = space.d(t[p - 1], t[p]) + space.d(t[p], t[p + 1])
-        kept = space.d(t[p - 1], t[p + 1])
-        return lost - kept
+            return scaled[t[last - 1]][t[last]]
+        return scaled[t[p - 1]][t[p]] + scaled[t[p]][t[p + 1]] - scaled[t[p - 1]][t[p + 1]]
 
     def boundary(self, n: int) -> SparseMatrix:
         """Differential on the full tuple basis, degree n -> n-1."""
@@ -136,7 +139,7 @@ class BarResolution:
             raise ResolutionTooShort(f"degree {n} outside 1..{self.n_max}")
         if n in self._gen_terms:
             return self._gen_terms[n]
-        space = self.space
+        between = self.space.between_idx
         tgt = self.gen_index[n - 1]
         out = []
         for a in self.gens[n]:
@@ -145,7 +148,7 @@ class BarResolution:
                 # generator (x_0; x_0..x_n): face 0 frees the pair (x_0, x_1)
                 terms.append((1, (a[0], a[1]), tgt[a[1:]]))
                 for i in range(1, n):
-                    if space.between_idx(a[i - 1], a[i], a[i + 1]):
+                    if between(a[i - 1], a[i], a[i + 1]):
                         terms.append((-1 if i % 2 else 1, None, tgt[a[:i] + a[i + 1 :]]))
                 if a[n - 1] == a[n]:
                     terms.append((-1 if n % 2 else 1, None, tgt[a[:-1]]))
@@ -154,7 +157,7 @@ class BarResolution:
                 if a[0] == a[1]:
                     terms.append((1, None, tgt[a[1:]]))
                 for i in range(1, n):
-                    if space.between_idx(a[i - 1], a[i], a[i + 1]):
+                    if between(a[i - 1], a[i], a[i + 1]):
                         terms.append((-1 if i % 2 else 1, None, tgt[a[:i] + a[i + 1 :]]))
                 terms.append((-1 if n % 2 else 1, (a[n - 1], a[n]), tgt[a[:-1]]))
             out.append(terms)
@@ -193,6 +196,43 @@ def resolution_homology(res: BarResolution, n: int, grade) -> HomologySummary:
 
 
 # ---------------------------------------------------------------------------
+# Module components met by the free generators (Tor and Ext)
+
+
+def _components(res, module, k, grade, sign, end):
+    """(gen_index, h, rank) for every degree-k generator a of grade
+    grade + sign*h whose end point a[end] carries a nonzero M(a[end])_h.
+
+    Tor (sign -1, end 0) meets the head component in grade (grade - |a|),
+    Ext (sign 1, end -1) the tail component in grade (|a| - grade).  Reads
+    only the generator groups at those grades; in generator order."""
+    groups = res._gen_groups[k]
+    gens = res.gens[k]
+    found = []
+    for h in module.grades():
+        ranks = [module.rank_at(x, h) for x in range(len(module.space))]
+        for gi in groups.get(grade + sign * h, ()):
+            r = ranks[gens[gi][end]]
+            if r:
+                found.append((gi, h, r))
+    found.sort()
+    return found
+
+
+def _action_memo(module):
+    """module.action_matrix by (pair, grade), each computed once per use."""
+    cache = {}
+
+    def action_along(pair, grade):
+        action = cache.get((pair, grade))
+        if action is None:
+            action = cache[pair, grade] = module.action_matrix(pair[0], pair[1], grade)
+        return action
+
+    return action_along
+
+
+# ---------------------------------------------------------------------------
 # Tor via the left resolution
 
 
@@ -201,36 +241,33 @@ def _tor_space(res, module, k, grade):
 
     Entries are (gen_index, j): generator a with head x_0 contributes the
     component M(x_0) in grade (grade - |a|)."""
-    basis = []
-    for gi, a in enumerate(res.gens[k]):
-        g = res.gen_grade[k][gi]
-        r = module.rank_at(a[0], grade - g)
-        basis.extend((gi, j) for j in range(r))
-    return basis
+    return [(gi, j) for gi, _, r in _components(res, module, k, grade, -1, 0) for j in range(r)]
 
 
 def _tor_matrix(res, module, k, grade):
     """Differential of the tensored complex, degree k -> k-1, one grade."""
-    src = _tor_space(res, module, k, grade)
+    src = _components(res, module, k, grade, -1, 0)
     tgt = _tor_space(res, module, k - 1, grade)
     tgt_pos = {lab: r for r, lab in enumerate(tgt)}
     terms = res.gen_boundary_terms(k)
-    mat = SparseMatrix(len(tgt), len(src))
-    for col, (gi, j) in enumerate(src):
-        a = res.gens[k][gi]
-        comp_grade = grade - res.gen_grade[k][gi]
-        for sign, pair, ti in terms[gi]:
-            if pair is None:
-                key = (ti, j)
-                if key in tgt_pos:
-                    mat.add_at(tgt_pos[key], col, sign)
-            else:
-                action = module.action_matrix(pair[0], pair[1], comp_grade)
-                for i_row, row in enumerate(action):
-                    if row[j]:
-                        key = (ti, i_row)
-                        if key in tgt_pos:
-                            mat.add_at(tgt_pos[key], col, sign * row[j])
+    mat = SparseMatrix(len(tgt), sum(r for _, _, r in src))
+    action_along = _action_memo(module)
+    col = 0
+    for gi, comp_grade, r in src:
+        for j in range(r):
+            for sign, pair, ti in terms[gi]:
+                if pair is None:
+                    key = (ti, j)
+                    if key in tgt_pos:
+                        mat.add_at(tgt_pos[key], col, sign)
+                else:
+                    action = action_along(pair, comp_grade)
+                    for i_row, row in enumerate(action):
+                        if row[j]:
+                            key = (ti, i_row)
+                            if key in tgt_pos:
+                                mat.add_at(tgt_pos[key], col, sign * row[j])
+            col += 1
     return mat
 
 
@@ -274,31 +311,31 @@ def _ext_space(res, module, k, grade):
 
     Entries are (gen_index, j): generator a with tail x_n contributes the
     component M(x_n) in grade (|a| - grade)."""
-    basis = []
-    for gi, a in enumerate(res.gens[k]):
-        g = res.gen_grade[k][gi]
-        r = module.rank_at(a[-1], g - grade)
-        basis.extend((gi, j) for j in range(r))
-    return basis
+    return [(gi, j) for gi, _, r in _components(res, module, k, grade, 1, -1) for j in range(r)]
 
 
 def _ext_matrix(res, module, k, grade, fld):
     """Coboundary of the Hom complex, degree k -> k+1, one internal grade."""
-    src = _ext_space(res, module, k, grade)
+    src = _components(res, module, k, grade, 1, -1)
     tgt = _ext_space(res, module, k + 1, grade)
-    src_pos = {lab: c for c, lab in enumerate(src)}
+    src_pos = {}
+    src_grade = {}
+    for gi, h, r in src:
+        src_grade[gi] = h
+        for j in range(r):
+            src_pos[(gi, j)] = len(src_pos)
     terms = res.gen_boundary_terms(k + 1)
-    mat = SparseMatrix(len(tgt), len(src))
+    action_along = _action_memo(module)
+    mat = SparseMatrix(len(tgt), len(src_pos))
     for row_i, (bi, j) in enumerate(tgt):
         for sign, pair, ai in terms[bi]:
             if pair is None:
                 key = (ai, j)
                 if key in src_pos:
                     mat.add_at(row_i, src_pos[key], sign)
-            else:
+            elif ai in src_grade:
                 # phi(g_b) picks up phi(g_a) pushed along the freed pair
-                src_comp_grade = res.gen_grade[k][ai] - grade
-                action = module.action_matrix(pair[0], pair[1], src_comp_grade)
+                action = action_along(pair, src_grade[ai])
                 if j < len(action):
                     row = action[j]
                     for c, v in enumerate(row):

@@ -3,12 +3,19 @@
 Distances are exact: a distance is either a nonnegative ``Fraction`` or the
 module-level singleton ``INF``.  Floats are never used, so betweenness
 (``d(x,y) + d(y,z) == d(x,z)``) is a decidable equality test.
+
+Every finite distance of a space lies on the lattice (1/D)Z, D the common
+denominator of its distances, and so does every grade built from them.
+Inside, a space keeps its distances as integers in units of 1/D
+(``scaled``, ``None`` where unreachable) and the enumerations below work on
+those; a ``Fraction`` is made only where a grade is handed back.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import floor, lcm
 
 from .errors import (
     InvalidInput,
@@ -102,12 +109,18 @@ class QuasimetricSpace:
     immutable after construction and safe to share.
     """
 
-    __slots__ = ("points", "dist", "_index")
+    __slots__ = ("points", "dist", "denom", "scaled", "_index")
 
     def __init__(self, points, dist):
         self.points = tuple(points)
         self.dist = tuple(tuple(row) for row in dist)
         self._index = {p: i for i, p in enumerate(self.points)}
+        finite = [d for row in self.dist for d in row if d is not INF]
+        self.denom = lcm(1, *(d.denominator for d in finite))
+        self.scaled = tuple(
+            tuple(None if d is INF else int(d * self.denom) for d in row)
+            for row in self.dist
+        )
 
     def __len__(self):
         return len(self.points)
@@ -139,15 +152,33 @@ class QuasimetricSpace:
         """Distance by point label."""
         return self.dist[self.idx(x)][self.idx(y)]
 
+    def to_units(self, grade):
+        """A finite grade in units of 1/D; None when it is off the lattice."""
+        scaled = grade * self.denom
+        return int(scaled) if scaled.denominator == 1 else None
+
+    def floor_units(self, grade) -> int:
+        """The largest lattice grade <= a finite grade, in units of 1/D."""
+        return floor(grade * self.denom)
+
+    def grade_of(self, units) -> Fraction:
+        """The grade of a lattice point given in units of 1/D."""
+        return Fraction(units, self.denom)
+
+    def steps(self, distinct: bool):
+        """Per point, the (next point, distance in units) pairs of a walk
+        with finite steps; distinct=True leaves out staying put."""
+        return [
+            [(j, d) for j, d in enumerate(row) if d is not None and not (distinct and j == i)]
+            for i, row in enumerate(self.scaled)
+        ]
+
     def between_idx(self, i: int, j: int, k: int) -> bool:
-        dij = self.dist[i][j]
-        if dij is INF:
-            return False
-        djk = self.dist[j][k]
-        if djk is INF:
-            return False
-        dik = self.dist[i][k]
-        if dik is INF:
+        scaled = self.scaled
+        dij = scaled[i][j]
+        djk = scaled[j][k]
+        dik = scaled[i][k]
+        if dij is None or djk is None or dik is None:
             return False
         return dij + djk == dik
 
@@ -296,29 +327,17 @@ def attainable_grades(space: QuasimetricSpace, l_max) -> list[Fraction]:
     only sums realized by actual walks are reported.  Always contains 0.
     """
     l_max = parse_dist(l_max)
-    n = len(space)
-    steps = [
-        (i, j, space.dist[i][j])
-        for i in range(n)
-        for j in range(n)
-        if i != j and space.dist[i][j] is not INF
-    ]
-    reached = {(i, Fraction(0)) for i in range(n)}
-    frontier = list(reached)
-    grades = {Fraction(0)}
-    by_point = {}
-    for i, g in reached:
-        by_point.setdefault(i, set()).add(g)
+    cap = None if l_max is INF else space.floor_units(l_max)
+    steps = space.steps(distinct=True)
+    reached = [{0} for _ in steps]
+    frontier = [(i, 0) for i in range(len(steps))]
     while frontier:
         new_frontier = []
         for i, g in frontier:
-            for u, v, d in steps:
-                if u != i:
-                    continue
+            for j, d in steps[i]:
                 g2 = g + d
-                if g2 <= l_max and (v, g2) not in reached:
-                    reached.add((v, g2))
-                    new_frontier.append((v, g2))
-                    grades.add(g2)
+                if (cap is None or g2 <= cap) and g2 not in reached[j]:
+                    reached[j].add(g2)
+                    new_frontier.append((j, g2))
         frontier = new_frontier
-    return sorted(grades)
+    return [space.grade_of(g) for g in sorted({0}.union(*reached))]

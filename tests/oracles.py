@@ -33,28 +33,51 @@ def bfs_distances(vertices, arcs):
     return out
 
 
-def exhaustive_tuples(space, n, grade, normalized=True):
-    """All (n+1)-tuples of the exact grade by filtering every raw sequence."""
+def _raw_walks(space, n, normalized):
+    """Every raw (n+1)-sequence with finite steps, with its Fraction grade."""
     from itertools import product
 
     from maghom.space import INF
 
-    grade = Fraction(grade)
-    found = []
     for seq in product(range(len(space)), repeat=n + 1):
         if normalized and any(a == b for a, b in zip(seq, seq[1:])):
             continue
         total = Fraction(0)
-        ok = True
         for a, b in zip(seq, seq[1:]):
             d = space.d(a, b)
             if d is INF:
-                ok = False
                 break
             total += d
-        if ok and total == grade:
-            found.append(seq)
-    return sorted(found)
+        else:
+            yield seq, total
+
+
+def exhaustive_tuples(space, n, grade, normalized=True):
+    """All (n+1)-tuples of the exact grade by filtering every raw sequence."""
+    grade = Fraction(grade)
+    return sorted(seq for seq, total in _raw_walks(space, n, normalized) if total == grade)
+
+
+def exhaustive_tuples_up_to(space, n, cap, normalized=True):
+    """All (n+1)-tuples of grade <= cap with their grades, in sequence order."""
+    return [(seq, total) for seq, total in _raw_walks(space, n, normalized) if total <= cap]
+
+
+def exhaustive_grades(space, cap):
+    """0 and every grade <= cap of a walk with distinct consecutive points.
+
+    A step between distinct points is at least the least positive distance,
+    so longer walks than cap / least cannot stay under the cap."""
+    from maghom.space import INF
+
+    n = len(space)
+    steps = [space.d(i, j) for i in range(n) for j in range(n) if i != j]
+    finite = [d for d in steps if d is not INF]
+    longest = int(cap // min(finite)) if finite and cap >= 0 else 0
+    grades = {Fraction(0)}
+    for k in range(1, longest + 1):
+        grades.update(total for _, total in _raw_walks(space, k, True) if total <= cap)
+    return sorted(grades)
 
 
 def dense_snf(rows):
@@ -201,3 +224,23 @@ def all_paths_up_to(vertices, arcs, max_len):
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def full_scan_tor_space(res, module, k, grade):
+    """(gen_index, j) over every degree-k generator a in order: the head
+    component M(a[0]) in grade (grade - |a|)."""
+    return [
+        (gi, j)
+        for gi, a in enumerate(res.gens[k])
+        for j in range(module.rank_at(a[0], grade - res.gen_grade[k][gi]))
+    ]
+
+
+def full_scan_ext_space(res, module, k, grade):
+    """(gen_index, j) over every degree-k generator a in order: the tail
+    component M(a[-1]) in grade (|a| - grade)."""
+    return [
+        (gi, j)
+        for gi, a in enumerate(res.gens[k])
+        for j in range(module.rank_at(a[-1], res.gen_grade[k][gi] - grade))
+    ]

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maghom.chain import (
     enumerate_tuples,
@@ -16,8 +19,9 @@ from maghom.errors import InvalidField, UnvalidatedModule
 from maghom.gen import random_space
 from maghom.instances import c3, k2, x2
 from maghom.linalg import QQ, PrimeField
+from maghom.space import INF, attainable_grades, validate_space
 
-from oracles import exhaustive_tuples
+from oracles import exhaustive_grades, exhaustive_tuples, exhaustive_tuples_up_to
 
 
 def test_enumerate_k2_alternating():
@@ -218,3 +222,71 @@ def test_enumerate_unnormalized_matches_oracle():
         for g in (0, 1, 2):
             got = enumerate_tuples(s, n, g, normalized=False)
             assert got == exhaustive_tuples(s, n, g, normalized=False)
+
+
+# --- differential tests against the itertools.product oracles -------------
+
+GRID = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(5, 4), Fraction(3, 2), INF)
+
+
+@st.composite
+def spaces(draw, max_points=4):
+    """Quasimetric spaces with fractional and infinite distances: grid
+    entries closed under min-plus, so the triangle inequality holds."""
+    n = draw(st.integers(0, max_points))
+    dist = [
+        [Fraction(0) if i == j else draw(st.sampled_from(GRID)) for j in range(n)]
+        for i in range(n)
+    ]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] + dist[k][j] < dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    return validate_space([f"p{i}" for i in range(n)], dist)
+
+
+def _lattice_denominator(space):
+    n = len(space)
+    finite = [space.d(i, j) for i in range(n) for j in range(n) if space.d(i, j) is not INF]
+    return lcm(1, *(d.denominator for d in finite))
+
+
+@st.composite
+def grades(draw, space, top=2):
+    """Grades in [-1/D, top], on the space's 1/D lattice or (for m > 1) mostly off it."""
+    m = draw(st.sampled_from((1, 1, 2, 5)))
+    den = _lattice_denominator(space) * m
+    return Fraction(draw(st.integers(-1, top * den)), den)
+
+
+def _check_against_oracles(space, n, grade):
+    for normalized in (True, False):
+        got = enumerate_tuples(space, n, grade, normalized=normalized)
+        assert got == exhaustive_tuples(space, n, grade, normalized=normalized)
+        pairs = tuples_up_to_grade(space, n, grade, normalized=normalized)
+        assert pairs == exhaustive_tuples_up_to(space, n, grade, normalized=normalized)
+        assert all(type(g) is Fraction for _, g in pairs)
+    found = attainable_grades(space, grade)
+    assert found == exhaustive_grades(space, grade)
+    assert all(type(g) is Fraction for g in found)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(space=spaces(), n=st.integers(0, 3), data=st.data())
+def test_enumeration_matches_product_oracle(space, n, data):
+    _check_against_oracles(space, n, data.draw(grades(space)))
+
+
+def test_enumeration_on_degenerate_spaces():
+    empty = validate_space([], [])
+    point = validate_space(["p"], [[0]])
+    unreachable = validate_space(
+        ["a", "b", "c"], [["0", "inf", "inf"], ["inf", "0", "inf"], ["inf", "inf", "0"]]
+    )
+    for space in (empty, point, unreachable):
+        for n in range(4):
+            for grade in (Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2)):
+                _check_against_oracles(space, n, grade)
+    assert attainable_grades(empty, 2) == attainable_grades(unreachable, 2) == [0]
+    assert tuples_up_to_grade(point, 2, 1, normalized=False) == [((0, 0, 0), 0)]

@@ -196,6 +196,17 @@ def test_gen_deterministic(capsys):
     assert len(data["points"]) == 4
 
 
+def test_gen_negative_points_is_invalid_input(capsys):
+    code, out = run(capsys, "gen", "--points", "-3")
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "InvalidInput",
+        "detail": "--points must be nonnegative",
+    }
+    code, out = run(capsys, "gen", "--points", "0")
+    assert code == 0 and json.loads(out)["points"] == []
+
+
 def test_emit_determinism_and_formats(capsys, c3_file):
     outs = []
     for _ in range(2):

@@ -1,18 +1,24 @@
+from fractions import Fraction
+
 import pytest
 
 from maghom.chain import magnitude_complex, magnitude_complex_with_coefficients
-from maghom.distmod import trivial_module
+from maghom.distmod import direct_sum, representable_module, shift_module, trivial_module
 from maghom.errors import ResolutionTooShort
 from maghom.gen import random_module
 from maghom.instances import c3, k2, x2
 from maghom.linalg import QQ, PrimeField
 from maghom.resolution import (
+    _ext_space,
+    _tor_space,
     bar_resolution,
     ext_bidegree,
     resolution_homology,
     tor_bidegree,
 )
 from maghom.space import INF
+
+from oracles import full_scan_ext_space, full_scan_tor_space
 
 
 def test_right_degree_zero_basis_x2():
@@ -329,3 +335,66 @@ def test_default_resolution_sizing_accounts_for_module_grades():
     negative = shift_module(tm(space, 0, 1), -2)
     assert tor_bidegree(space, negative, 0, -2).betti == 2
     assert ext_bidegree(space, negative, 0, 2, QQ) == 2
+
+
+def _graded_modules(space):
+    """Valid modules over any space with components in several grades:
+    representable rows and trivial pieces, summed and shifted by negative
+    and fractional amounts."""
+    x, y = space.points[0], space.points[-1]
+    rep_x, rep_y = representable_module(space, x), representable_module(space, y)
+    yield rep_x
+    yield direct_sum(shift_module(rep_x, Fraction(-3, 2)), trivial_module(space, Fraction(1, 3), 2))
+    yield direct_sum(shift_module(rep_y, Fraction(1, 2)), shift_module(rep_x, -1))
+    yield shift_module(direct_sum(rep_x, rep_y), Fraction(-2, 3))
+
+
+def test_grouped_spaces_equal_full_scan():
+    from maghom.gen import random_space
+    from maghom.space import attainable_grades
+
+    spaces = [x2(), c3(), random_space(3, 19), random_space(4, 9)]  # 19: unreachable pairs
+    for space in spaces:
+        modules = list(_graded_modules(space))
+        if space.denom == 1:
+            modules += [random_module(space, seed) for seed in (2, 7)]
+        left = bar_resolution(space, "left", 3, 3)
+        right = bar_resolution(space, "right", 3, 3)
+        for module in modules:
+            hs = module.grades()
+            grades = sorted(
+                {g + h for g in attainable_grades(space, 3) for h in hs}
+                | {g - h for g in attainable_grades(space, 3) for h in hs}
+                | {Fraction(1, 7), Fraction(-5, 2)}
+            )
+            for k in range(4):
+                for g in grades:
+                    tor = _tor_space(left, module, k, g)
+                    assert tor == full_scan_tor_space(left, module, k, g)
+                    ext = _ext_space(right, module, k, g)
+                    assert ext == full_scan_ext_space(right, module, k, g)
+
+
+def test_tor_matches_chain_with_coefficients_on_fractional_distances():
+    from maghom.gen import random_space
+    from maghom.space import attainable_grades
+
+    # seeds 19 and 28 also have unreachable pairs
+    for seed in (5, 19, 28):
+        space = random_space(3, seed)
+        assert space.denom == 2
+        for module in _graded_modules(space):
+            hs = module.grades()
+            grades = sorted({g + h for g in attainable_grades(space, 2) for h in hs})
+            res = bar_resolution(space, "left", 3, grades[-1] - min(hs))
+            for g in grades:
+                cx = magnitude_complex_with_coefficients(space, module, g, 2)
+                for n in range(3):
+                    chain_h = cx.homology(n)
+                    tor_h = tor_bidegree(space, module, n, g, resolution=res)
+                    assert (chain_h.betti, chain_h.torsion) == (tor_h.betti, tor_h.torsion), (
+                        seed,
+                        module,
+                        n,
+                        g,
+                    )
