@@ -174,6 +174,13 @@ def magnitude_complex(space: QuasimetricSpace, grade, n_max: int) -> BasedComple
     that point deleted; built through degree n_max+1.
     """
     grade = parse_dist(grade)
+    bases, maps = _boundaries(space, grade, n_max)
+    return BasedComplex(space=space, grade=grade, n_max=n_max, bases=bases, maps=maps)
+
+
+def _boundaries(space: QuasimetricSpace, grade: Fraction, n_max: int):
+    """(bases, maps) of the trivial-coefficient chain complex at one grade;
+    the one assembly that the chain and cochain complexes share."""
     bases = [enumerate_tuples(space, n, grade, normalized=True) for n in range(n_max + 2)]
     index = [{t: k for k, t in enumerate(b)} for b in bases]
     maps = [SparseMatrix(0, len(bases[0]))]
@@ -186,7 +193,7 @@ def magnitude_complex(space: QuasimetricSpace, grade, n_max: int) -> BasedComple
                     face = t[:i] + t[i + 1 :]
                     mat.add_at(target_index[face], col, -1 if i % 2 else 1)
         maps.append(mat)
-    return BasedComplex(space=space, grade=grade, n_max=n_max, bases=bases, maps=maps)
+    return bases, maps
 
 
 def magnitude_complex_with_coefficients(space, module, grade, n_max: int) -> BasedComplex:
@@ -242,18 +249,19 @@ def magnitude_cochain_complex(space, grade, n_max: int, fld) -> BasedComplex:
     degree n+1, entries reduced into the field; sign pattern identical.
     """
     check_field(fld)
-    chain = magnitude_complex(space, grade, n_max)
+    grade = parse_dist(grade)
+    bases, boundaries = _boundaries(space, grade, n_max)
     maps = []
     for n in range(n_max + 2):
-        mat = chain.maps[n + 1].transpose() if n + 1 < len(chain.maps) else SparseMatrix(0, chain.dim(n))
+        mat = boundaries[n + 1].transpose() if n <= n_max else SparseMatrix(0, len(bases[n]))
         if isinstance(fld, PrimeField):
             mat = mat.reduce_mod(fld.p)
         maps.append(mat)
     return BasedComplex(
         space=space,
-        grade=chain.grade,
+        grade=grade,
         n_max=n_max,
-        bases=chain.bases,
+        bases=bases,
         maps=maps,
         ascending=True,
         field=fld,

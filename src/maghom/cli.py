@@ -108,8 +108,19 @@ def _torsion_str(torsion) -> str:
 # subcommand bodies
 
 
-def _grades(space, l_max):
-    return [g for g in attainable_grades(space, l_max)]
+def _tuple_cap(l_max, module):
+    """Deepest tuple grade a scan up to l_max touches: a module with
+    components in negative grades reaches tuples above l_max."""
+    return l_max - min([0] + (module.grades() if module is not None else []))
+
+
+def _grades(space, l_max, module=None):
+    """Grades to scan: g + h <= l_max over attainable tuple grades g and the
+    module's component grades h; without a module, the attainable grades."""
+    if module is None:
+        return attainable_grades(space, l_max)
+    tuple_grades = attainable_grades(space, _tuple_cap(l_max, module))
+    return sorted({g + h for g in tuple_grades for h in module.grades() if g + h <= l_max})
 
 
 def cmd_validate(space, module, job):
@@ -136,7 +147,7 @@ def cmd_validate(space, module, job):
 
 def _chain_rows(space, module, n_max, l_max, fld):
     rows = []
-    for g in _grades(space, l_max):
+    for g in _grades(space, l_max, module):
         if module is None:
             cx = magnitude_complex(space, g, n_max)
         else:
@@ -179,9 +190,9 @@ def cmd_tor(space, module, job):
     if job.field not in (None, INTEGERS):
         raise InvalidField("tor reports integral betti and torsion; use --field Z")
     mod = module if module is not None else trivial_module(space, 0, 1)
-    res = bar_resolution(space, "left", job.n_max + 1, job.l_max)
+    res = bar_resolution(space, "left", job.n_max + 1, _tuple_cap(job.l_max, module))
     rows = []
-    for g in _grades(space, job.l_max):
+    for g in _grades(space, job.l_max, module):
         for n in range(job.n_max + 1):
             h = tor_bidegree(space, mod, n, g, resolution=res)
             rows.append(
@@ -221,10 +232,10 @@ def cmd_ext(space, module, job):
 
 def cmd_crosscheck(space, module, job):
     mod = module if module is not None else trivial_module(space, 0, 1)
-    res = bar_resolution(space, "left", job.n_max + 1, job.l_max)
+    res = bar_resolution(space, "left", job.n_max + 1, _tuple_cap(job.l_max, module))
     rows = []
     mismatches = 0
-    for g in _grades(space, job.l_max):
+    for g in _grades(space, job.l_max, module):
         if module is None:
             cx = magnitude_complex(space, g, job.n_max)
         else:

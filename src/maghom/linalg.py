@@ -483,8 +483,7 @@ class FieldColumnSpan:
     its clients.
     """
 
-    def __init__(self, dim: int, fld):
-        self.dim = dim
+    def __init__(self, fld):
         self.fld = check_field(fld)
         self.pivots = {}  # pivot row -> reduced vector
         self.coords = {}  # pivot row -> {key: coefficient}, when tracked
@@ -554,7 +553,7 @@ def rank_over_field(matrix: SparseMatrix, fld) -> int:
         for (r, c), v in block:
             if v := fld.of(v):
                 cols.setdefault(c, {})[r] = v
-        span = FieldColumnSpan(matrix.rows, fld)
+        span = FieldColumnSpan(fld)
         for c in sorted(cols):
             span._insert(cols[c])
         rank += span.rank()
@@ -570,7 +569,7 @@ def kernel_basis_over_field(matrix: SparseMatrix, fld) -> list[list]:
     the canonical reduced echelon basis (pivot = first nonzero entry); it is
     returned pivots ascending, as dense vectors.
     """
-    span = FieldColumnSpan(matrix.rows, fld)
+    span = FieldColumnSpan(fld)
     one, zero = span.fld.of(1), span.fld.of(0)
     cols = sparse_columns(matrix, span.fld)
     kernel = []
@@ -582,19 +581,24 @@ def kernel_basis_over_field(matrix: SparseMatrix, fld) -> list[list]:
     return kernel
 
 
-def solve_in_span(columns, target, fld):
-    """Coefficients expressing target as a combination of columns, or None.
+def solve_in_span(columns, targets, fld):
+    """Coefficients expressing each target as a combination of columns.
 
-    columns: dense length-m vectors or {row: value} dicts; target: a dense
-    length-m vector.  Of all solutions this is the one on the leftmost
+    columns and targets: dense vectors or {row: value} dicts.  The columns
+    enter one span once, in order, and every target is reduced against it;
+    the result holds one coefficient list per target, or None for a target
+    outside the span.  Of all solutions each is the one on the leftmost
     independent columns: a column that depends on earlier ones gets 0.
     """
-    span = FieldColumnSpan(len(target), fld)
+    span = FieldColumnSpan(fld)
     fld = span.fld
     for j, col in enumerate(columns):
         span._insert(_sparse(col, fld), {j: fld.of(1)})
-    residue, coords = _sparse(target, fld), {}
-    span._reduce(residue, coords)
-    if residue:
-        return None
-    return [fld.of(-coords.get(j, 0)) for j in range(len(columns))]
+    solutions = []
+    for target in targets:
+        residue, coords = _sparse(target, fld), {}
+        span._reduce(residue, coords)
+        solutions.append(
+            None if residue else [fld.of(-coords.get(j, 0)) for j in range(len(columns))]
+        )
+    return solutions

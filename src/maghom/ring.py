@@ -129,7 +129,7 @@ def cohomology_classes(space, n, grade, fld) -> CohomologyClassSet:
     basis_n = cx.bases[n]
     kernel = kernel_basis_over_field(cx.coboundary(n), fld)
     cob_cols = sparse_columns(cx.coboundary(n - 1), fld) if n >= 1 else []
-    span = FieldColumnSpan(len(basis_n), fld)
+    span = FieldColumnSpan(fld)
     for col in cob_cols:
         span.add(col)
     reps = []
@@ -351,39 +351,43 @@ def ring_table(space, n_max: int, l_max, fld, grades=None) -> RingTable:
             target = built.get(target_key)
             if target is None:
                 target = built[target_key] = cohomology_classes(space, *target_key, fld)
-            coords = _class_coordinates_factory(target, fld)
-            for i, psi in enumerate(left_cs.representatives):
-                for j, phi in enumerate(right_cs.representatives):
-                    prod = cup(psi, phi)
-                    result = coords(prod)
-                    products.append(
-                        {
-                            "lhs": (m, s, i),
-                            "rhs": (n, l, j),
-                            "result": [(v, k) for k, v in enumerate(result) if v != 0],
-                        }
-                    )
+            pairs = [(i, j) for i in range(left_cs.dim()) for j in range(right_cs.dim())]
+            prods = [
+                cup(left_cs.representatives[i], right_cs.representatives[j]) for i, j in pairs
+            ]
+            for (i, j), result in zip(pairs, _class_coordinates(target, prods, fld)):
+                products.append(
+                    {
+                        "lhs": (m, s, i),
+                        "rhs": (n, l, j),
+                        "result": [(v, k) for k, v in enumerate(result) if v != 0],
+                    }
+                )
     return RingTable(
         space=space, fld=fld, n_max=n_max, l_max=l_max, classes=classes, products=products
     )
 
 
-def _class_coordinates_factory(target: CohomologyClassSet, fld):
-    """Expansion of a cocycle in a class basis, modulo coboundaries."""
-    basis = target.basis_tuples
-    rep_vecs = [cochain_vector(r, basis) for r in target.representatives]
-    cob_cols = target.coboundary_columns
+def _class_coordinates(target: CohomologyClassSet, cochains, fld):
+    """Expansions of cocycles in a class basis, modulo coboundaries.
 
-    def coords(cochain: Cochain):
-        target_vec = cochain_vector(cochain, basis)
-        columns = rep_vecs + cob_cols
-        if not columns:
-            if any(v != 0 for v in target_vec):
-                raise NotACocycle("nonzero product in an empty bidegree")
-            return []
-        sol = solve_in_span(columns, target_vec, fld)
-        if sol is None:
-            raise NotACocycle("product is not a cocycle modulo coboundaries")
-        return sol[: len(rep_vecs)]
+    Each cochain's support maps straight to target rows; all of them are
+    reduced against one span of [representatives | coboundary columns].
+    """
+    if not target.representatives and not target.coboundary_columns:
+        if any(not c.is_zero() for c in cochains):
+            raise NotACocycle("nonzero product in an empty bidegree")
+        return [[] for _ in cochains]
+    row_of = {t: r for r, t in enumerate(target.basis_tuples)}
 
-    return coords
+    def rows(c: Cochain):
+        for t in c.coeffs:
+            if t not in row_of:
+                raise NotACocycle(f"support tuple {t} is outside the target basis")
+        return {row_of[t]: v for t, v in c.coeffs.items()}
+
+    reps = [rows(r) for r in target.representatives]
+    solutions = solve_in_span(reps + target.coboundary_columns, [rows(c) for c in cochains], fld)
+    if any(sol is None for sol in solutions):
+        raise NotACocycle("product is not a cocycle modulo coboundaries")
+    return [sol[: len(reps)] for sol in solutions]

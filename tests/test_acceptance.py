@@ -159,7 +159,7 @@ def test_criterion_5_yoneda_equals_cup():
 def _coboundary_span(space, n, grade, fld):
     cx = magnitude_cochain_complex(space, grade, n, fld)
     dim = cx.dim(n)
-    span = FieldColumnSpan(dim, fld)
+    span = FieldColumnSpan(fld)
     if n >= 1:
         prev = cx.coboundary(n - 1)
         for col in range(prev.cols):

@@ -171,6 +171,58 @@ def test_mh_with_coefficients(capsys, tmp_path, c3_file):
     assert code == 0
 
 
+ONE_ARC = {"points": ["a", "b"], "dist": [["0", "1"], ["inf", "0"]]}
+
+
+def _rows(out, value):
+    return {(r["n"], r["l"]): r[value] for r in json.loads(out)["rows"]}
+
+
+def test_module_grades_are_scanned(capsys, tmp_path):
+    # components at grade 1/2 only: no tuple has that grade, yet H_0 lives there
+    module = {
+        "space": ONE_ARC,
+        "components": {"a": [["1/2", 1]], "b": [["1/2", 1]]},
+        "actions": {},
+    }
+    p = tmp_path / "mod.json"
+    p.write_text(json.dumps(module))
+    code, out = run(capsys, "coinv", str(p), "--format", "json")
+    assert json.loads(out)["rows"] == [{"grade": "1/2", "betti": 2, "torsion": ""}]
+    for cmd in ("mh", "tor"):
+        code, out = run(capsys, cmd, str(p), "--nmax", "1", "--lmax", "2", "--format", "json")
+        assert code == 0
+        assert _rows(out, "betti") == {(0, "1/2"): 2, (1, "1/2"): 0, (0, "3/2"): 0, (1, "3/2"): 1}
+    code, out = run(capsys, "crosscheck", str(p), "--nmax", "1", "--lmax", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["status"] == "all bidegrees agree"
+
+
+def test_negative_module_grades_are_scanned(capsys, tmp_path):
+    # M(a) in grade -1 maps onto M(b) in grade 0: H_0 is M(a) at grade -1
+    (tmp_path / "sp.json").write_text(json.dumps(ONE_ARC))
+    module = {
+        "space": "sp.json",
+        "components": {"a": [["-1", 1]], "b": [["0", 1]]},
+        "actions": {"a->b": {"-1": [[1]]}},
+    }
+    p = tmp_path / "mod.json"
+    p.write_text(json.dumps(module))
+    code, out = run(capsys, "coinv", str(p), "--format", "json")
+    assert json.loads(out)["rows"] == [{"grade": "-1", "betti": 1, "torsion": ""}]
+    expected = {(n, l): 0 for n in (0, 1) for l in ("-1", "0", "1")}
+    expected[(0, "-1")] = 1
+    # lmax 1 scans grade 1, whose tuples reach grade 2 against M(a) in grade -1
+    jobs = (("mh", str(p)), ("tor", str(p)), ("mh", str(tmp_path / "sp.json"), "--coefficients", str(p)))
+    for argv in jobs:
+        code, out = run(capsys, *argv, "--nmax", "1", "--lmax", "1", "--format", "json")
+        assert code == 0, out
+        assert _rows(out, "betti") == expected
+    code, out = run(capsys, "crosscheck", str(p), "--nmax", "1", "--lmax", "1", "--format", "json")
+    assert code == 0, out
+    assert json.loads(out)["status"] == "all bidegrees agree"
+
+
 def test_relations_report(capsys, c3_file):
     code, out = run(capsys, "relations", c3_file, "--format", "json")
     assert code == 0

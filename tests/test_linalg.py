@@ -233,7 +233,7 @@ def test_kernel_basis_over_field_and_span():
     mat = M([[1, 1, 0], [0, 0, 0]])
     basis = kernel_basis_over_field(mat, QQ)
     assert basis == [[1, -1, 0], [0, 0, 1]]
-    span = FieldColumnSpan(3, QQ)
+    span = FieldColumnSpan(QQ)
     for v in basis:
         assert span.add(v)
     assert span.contains([Fraction(-1), Fraction(1), Fraction(5)])
@@ -260,7 +260,7 @@ def test_kernel_is_the_reduced_echelon_basis():
 def test_span_keeps_reduced_echelon_form():
     rng = random.Random(23)
     for fld in (QQ, PrimeField(3)):
-        span = FieldColumnSpan(6, fld)
+        span = FieldColumnSpan(fld)
         for _ in range(8):
             span.add([rng.randrange(-2, 3) for _ in range(6)])
             for piv, vec in span.pivots.items():
@@ -270,12 +270,12 @@ def test_span_keeps_reduced_echelon_form():
 
 def test_solve_in_span():
     cols = [[1, 0, 1], [0, 1, 1]]
-    sol = solve_in_span(cols, [2, 3, 5], QQ)
+    sol, outside = solve_in_span(cols, [[2, 3, 5], [1, 0, 0]], QQ)
     assert sol == [Fraction(2), Fraction(3)]
-    assert solve_in_span(cols, [1, 0, 0], QQ) is None
+    assert outside is None
     # a duplicated column and a dependent one get coefficient 0
     cols = [[1, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 2]]
-    assert solve_in_span(cols, [2, 3, 5], QQ) == [2, 0, 3, 0]
+    assert solve_in_span(cols, [[2, 3, 5]], QQ) == [[2, 0, 3, 0]]
 
 
 def test_solve_in_span_matches_gauss_jordan():
@@ -290,12 +290,35 @@ def test_solve_in_span_matches_gauss_jordan():
             weights = [rng.randrange(-2, 3) for _ in cols]
             inside = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(m)]
             outside = [rng.randrange(-3, 4) for _ in range(m)]
-            for target in (inside, outside):
-                expected = dense_solve(cols, target, p)
-                assert solve_in_span(cols, target, fld) == expected
-            assert dense_solve(cols, inside, p) is not None
+            expected = [dense_solve(cols, t, p) for t in (inside, outside)]
+            assert solve_in_span(cols, [inside, outside], fld) == expected
+            assert expected[0] is not None
 
 
+def test_solve_in_span_mixed_batch():
+    # one batch of solvable, unsolvable and zero targets, dense and as dicts,
+    # each checked against its own Gauss-Jordan solve
+    rng = random.Random(31)
+    outside = 0
+    for fld, p in ((QQ, None), (PrimeField(2), 2), (PrimeField(3), 3)):
+        for _ in range(30):
+            m = rng.randrange(1, 7)
+            cols = [[rng.randrange(-2, 3) for _ in range(m)] for _ in range(rng.randrange(1, 5))]
+            cols.append([a + b for a, b in zip(cols[0], cols[-1])])
+            targets = [[0] * m]
+            for _ in range(4):
+                weights = [rng.randrange(-2, 3) for _ in cols]
+                targets.append([sum(w * c[i] for w, c in zip(weights, cols)) for i in range(m)])
+                targets.append([rng.randrange(-3, 4) for _ in range(m)])
+            expected = [dense_solve(cols, t, p) for t in targets]
+            mixed = [
+                t if k % 2 else {i: x for i, x in enumerate(t) if x} for k, t in enumerate(targets)
+            ]
+            assert solve_in_span(cols, mixed, fld) == expected
+            assert expected[0] == [0] * len(cols)
+            outside += expected.count(None)
+    assert outside > 0
+    assert solve_in_span([[1, 0], [0, 1]], [], QQ) == []
 def test_block_helpers():
     a = M([[1]])
     b = M([[2, 0], [0, 3]])

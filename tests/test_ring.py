@@ -2,14 +2,18 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from oracles import dense_solve
 
 from maghom.chain import enumerate_tuples, magnitude_cochain_complex
 from maghom.errors import NotACocycle, ResolutionTooShort, SpaceMismatch
+from maghom.gen import random_digraph, random_space
 from maghom.instances import c3, k2, x2
 from maghom.linalg import QQ, FieldColumnSpan, PrimeField
 from maghom.resolution import bar_resolution
+from maghom.space import digraph_to_space
 from maghom.ring import (
     Cochain,
+    _class_coordinates,
     coboundary_of,
     cochain_vector,
     cohomology_classes,
@@ -65,7 +69,7 @@ def test_classes_are_cocycles_and_independent():
             for rep in cs.representatives:
                 assert coboundary_of(rep).is_zero()
             vecs = [cochain_vector(r, cs.basis_tuples) for r in cs.representatives]
-            span = FieldColumnSpan(len(cs.basis_tuples), QQ)
+            span = FieldColumnSpan(QQ)
             for v in vecs:
                 assert span.add(v)
 
@@ -117,7 +121,7 @@ def test_product_of_cocycles_is_cocycle():
 def _coboundary_span(space, n, grade, fld):
     cx = magnitude_cochain_complex(space, grade, n, fld)
     dim = cx.dim(n)
-    span = FieldColumnSpan(dim, fld)
+    span = FieldColumnSpan(fld)
     if n >= 1:
         prev = cx.coboundary(n - 1)
         for col in range(prev.cols):
@@ -304,3 +308,69 @@ def test_ring_table_builds_each_bidegree_once(monkeypatch):
         monkeypatch.undo()
         assert len(calls) == len(set(calls))
         assert all(cs.dim() for cs in table.classes.values())
+
+
+def _dense_target(space, n, grade, fld):
+    """Basis and dense [representative vectors | coboundary columns] of a
+    target bidegree, rebuilt from the cochain complex."""
+    cx = magnitude_cochain_complex(space, grade, n, fld)
+    basis = cx.bases[n]
+    reps = cohomology_classes(space, n, grade, fld).representatives
+    columns = [cochain_vector(r, basis) for r in reps]
+    if n >= 1:
+        columns += [list(col) for col in zip(*cx.coboundary(n - 1).to_dense())]
+    return basis, len(reps), columns
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2)], ids=["Q", "F2"])
+def test_ring_table_matches_dense_oracle(fld):
+    # each product gets its own Gauss-Jordan solve against its target
+    cases = [(c3(), 3, 3), (k2(), 3, 3)]
+    cases += [(random_space(5, seed), 2, 2) for seed in (1, 2, 3)]
+    cases += [(digraph_to_space(random_digraph(6, seed, 0.35)), 2, 3) for seed in (1, 2)]
+    checked = 0
+    for space, n_max, l_max in cases:
+        table = ring_table(space, n_max, l_max, fld)
+        targets = {}
+        for p in table.products:
+            (m, s, i), (n, l, j) = p["lhs"], p["rhs"]
+            psi = table.classes[(m, s)].representatives[i]
+            prod = cup(psi, table.classes[(n, l)].representatives[j])
+            key = (m + n, s + l)
+            if key not in targets:
+                targets[key] = _dense_target(space, *key, fld)
+            basis, dim, columns = targets[key]
+            sol = dense_solve(columns, cochain_vector(prod, basis), getattr(fld, "p", None))
+            assert sol is not None
+            assert p["result"] == [(v, k) for k, v in enumerate(sol[:dim]) if v != 0]
+            checked += 1
+    assert checked > 1000
+
+
+def test_class_coordinates_rejects_non_cocycle():
+    s = c3()
+    target = cohomology_classes(s, 2, 3, QQ)
+    assert target.dim() and not target.coboundary_columns
+    raw = [c for c in duals(s, 2, 3) if not coboundary_of(c).is_zero()]
+    assert raw
+    with pytest.raises(NotACocycle, match="not a cocycle"):
+        _class_coordinates(target, [target.representatives[0], raw[0]], QQ)
+
+
+def test_class_coordinates_rejects_nonzero_cochain_in_empty_bidegree():
+    # c3 at (1, 2): three tuples, no cocycle and no coboundary
+    s = c3()
+    target = cohomology_classes(s, 1, 2, QQ)
+    assert target.basis_tuples and not target.representatives and not target.coboundary_columns
+    zero = Cochain(s, 1, 2, QQ, {})
+    assert _class_coordinates(target, [zero], QQ) == [[]]
+    with pytest.raises(NotACocycle, match="empty bidegree"):
+        _class_coordinates(target, [zero, duals(s, 1, 2)[0]], QQ)
+
+
+def test_class_coordinates_rejects_support_outside_target_basis():
+    s = c3()
+    target = cohomology_classes(s, 2, 3, QQ)
+    stray = duals(s, 2, 2)[0]
+    with pytest.raises(NotACocycle, match="outside the target basis"):
+        _class_coordinates(target, [stray], QQ)
