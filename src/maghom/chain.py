@@ -86,12 +86,12 @@ def tuples_up_to_grade(space: QuasimetricSpace, n: int, cap, normalized: bool = 
 
 @dataclass
 class BasedComplex:
-    """A complex on explicit ordered bases with sparse matrices.
+    """A chain complex on explicit ordered bases with sparse integer matrices.
 
-    For a chain complex (ascending=False) maps[n] sends degree n to n-1 and
-    maps[0] has zero rows.  For a cochain complex (ascending=True) maps[n]
-    sends degree n to n+1.  Degrees run 0..n_max+1 so homology at n_max is
-    exact, never extrapolated.
+    maps[n] is the boundary d_n from degree n to n-1, and maps[0] has zero
+    rows.  Degrees run 0..n_max+1 so homology at n_max is exact, never
+    extrapolated.  The dual cochain complex is read through coboundary();
+    field tags the field that coboundaries are reduced into.
     """
 
     space: QuasimetricSpace
@@ -99,7 +99,6 @@ class BasedComplex:
     n_max: int
     bases: list
     maps: list
-    ascending: bool = False
     field: object = None
 
     def dim(self, n: int) -> int:
@@ -111,42 +110,25 @@ class BasedComplex:
         return len(self.bases) - 1
 
     def verify(self) -> bool:
-        """Exact check that consecutive maps compose to zero.
-
-        Products of mod-p matrices are reduced back into the field before
-        the zero test."""
-        def vanishes(product):
-            if isinstance(self.field, PrimeField):
-                product = product.reduce_mod(self.field.p)
-            return product.is_zero()
-
-        if self.ascending:
-            for n in range(len(self.maps) - 1):
-                if not vanishes(self.maps[n + 1].matmul(self.maps[n])):
-                    return False
-        else:
-            for n in range(1, len(self.maps)):
-                if not vanishes(self.maps[n - 1].matmul(self.maps[n])):
-                    return False
-        return True
+        """Exact check that consecutive boundaries compose to zero."""
+        return all(
+            self.maps[n - 1].matmul(self.maps[n]).is_zero() for n in range(1, len(self.maps))
+        )
 
     def boundary(self, n: int) -> SparseMatrix:
-        if self.ascending:
-            raise ValueError("cochain complex: use coboundary()")
         if n < len(self.maps):
             return self.maps[n]
         return SparseMatrix(self.dim(n - 1), 0)
 
     def coboundary(self, n: int) -> SparseMatrix:
-        if not self.ascending:
-            raise ValueError("chain complex: use boundary()")
-        if n < len(self.maps):
-            return self.maps[n]
-        return SparseMatrix(0, self.dim(n))
+        """delta_n, degree n -> n+1: the transposed boundary d_(n+1), with
+        entries reduced into the field when it is a prime field."""
+        mat = self.boundary(n + 1).transpose()
+        if isinstance(self.field, PrimeField):
+            mat = mat.reduce_mod(self.field.p)
+        return mat
 
     def homology(self, n: int) -> HomologySummary:
-        if self.ascending:
-            raise ValueError("integral homology is computed on the chain complex")
         if not 0 <= n <= self.n_max:
             raise ValueError(f"degree {n} outside computed range 0..{self.n_max}")
         d_n = self.boundary(n)
@@ -154,16 +136,16 @@ class BasedComplex:
         return homology_at(d_n, d_np1, self.dim(n), n=n, grade=self.grade)
 
     def homology_dim_over(self, n: int, fld) -> int:
-        """dim over a field of (co)homology at degree n."""
+        """dim over a field of homology at degree n; by duality over a field,
+        also the dim of cohomology there."""
         check_field(fld)
         if not 0 <= n <= self.n_max:
             raise ValueError(f"degree {n} outside computed range 0..{self.n_max}")
-        if self.ascending:
-            outgoing = self.coboundary(n)
-            incoming = self.coboundary(n - 1) if n >= 1 else SparseMatrix(self.dim(0), 0)
-        else:
-            outgoing, incoming = self.boundary(n), self.boundary(n + 1)
-        return self.dim(n) - rank_over_field(outgoing, fld) - rank_over_field(incoming, fld)
+        return (
+            self.dim(n)
+            - rank_over_field(self.boundary(n), fld)
+            - rank_over_field(self.boundary(n + 1), fld)
+        )
 
 
 def magnitude_complex(space: QuasimetricSpace, grade, n_max: int) -> BasedComplex:
@@ -243,26 +225,9 @@ def magnitude_complex_with_coefficients(space, module, grade, n_max: int) -> Bas
 
 
 def magnitude_cochain_complex(space, grade, n_max: int, fld) -> BasedComplex:
-    """Dual complex over a field: same bases, coboundaries are transposes.
-
-    The coboundary matrix in degree n is the transpose of the boundary in
-    degree n+1, entries reduced into the field; sign pattern identical.
-    """
+    """Dual complex over a field: same bases and boundaries, read through
+    coboundary(n), the transpose of boundary(n+1) reduced into the field."""
     check_field(fld)
     grade = parse_dist(grade)
-    bases, boundaries = _boundaries(space, grade, n_max)
-    maps = []
-    for n in range(n_max + 2):
-        mat = boundaries[n + 1].transpose() if n <= n_max else SparseMatrix(0, len(bases[n]))
-        if isinstance(fld, PrimeField):
-            mat = mat.reduce_mod(fld.p)
-        maps.append(mat)
-    return BasedComplex(
-        space=space,
-        grade=grade,
-        n_max=n_max,
-        bases=bases,
-        maps=maps,
-        ascending=True,
-        field=fld,
-    )
+    bases, maps = _boundaries(space, grade, n_max)
+    return BasedComplex(space=space, grade=grade, n_max=n_max, bases=bases, maps=maps, field=fld)

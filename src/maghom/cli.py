@@ -1,7 +1,8 @@
 """Command-line surface: validation, homology tables, crosschecks, reports.
 
 Every command reads one JSON input (digraph, space, or module; the kind is
-inferred from the keys), scans exactly the attainable grades up to --lmax,
+inferred from the keys), scans the attainable grades up to --lmax (with a
+module, every grade up to --lmax that its component grades shift them to),
 and emits a deterministic report as json, csv, or an aligned text table.
 Validation failures exit nonzero with a machine-readable error object;
 `crosscheck` exits nonzero when the two pipelines disagree anywhere.
@@ -108,19 +109,26 @@ def _torsion_str(torsion) -> str:
 # subcommand bodies
 
 
-def _tuple_cap(l_max, module):
-    """Deepest tuple grade a scan up to l_max touches: a module with
-    components in negative grades reaches tuples above l_max."""
-    return l_max - min([0] + (module.grades() if module is not None else []))
+def _shifts(module, sign=1):
+    """Offsets l - g from a tuple grade g to the grades l it reaches through
+    the module: its component grades h (mh and tor meet M in grade l - g),
+    or their negatives (ext meets M in grade g - l); None without a module."""
+    return None if module is None else [sign * h for h in module.grades()]
 
 
-def _grades(space, l_max, module=None):
-    """Grades to scan: g + h <= l_max over attainable tuple grades g and the
-    module's component grades h; without a module, the attainable grades."""
-    if module is None:
+def _tuple_cap(l_max, shifts):
+    """Deepest tuple grade a scan up to l_max touches: a negative offset
+    reaches tuples above l_max."""
+    return l_max - min([0] + (shifts or []))
+
+
+def _grades(space, l_max, shifts):
+    """Grades to scan: g + s <= l_max over attainable tuple grades g and the
+    module offsets s; without a module, the attainable grades."""
+    if shifts is None:
         return attainable_grades(space, l_max)
-    tuple_grades = attainable_grades(space, _tuple_cap(l_max, module))
-    return sorted({g + h for g in tuple_grades for h in module.grades() if g + h <= l_max})
+    tuple_grades = attainable_grades(space, _tuple_cap(l_max, shifts))
+    return sorted({g + s for g in tuple_grades for s in shifts if g + s <= l_max})
 
 
 def cmd_validate(space, module, job):
@@ -147,7 +155,7 @@ def cmd_validate(space, module, job):
 
 def _chain_rows(space, module, n_max, l_max, fld):
     rows = []
-    for g in _grades(space, l_max, module):
+    for g in _grades(space, l_max, _shifts(module)):
         if module is None:
             cx = magnitude_complex(space, g, n_max)
         else:
@@ -190,9 +198,10 @@ def cmd_tor(space, module, job):
     if job.field not in (None, INTEGERS):
         raise InvalidField("tor reports integral betti and torsion; use --field Z")
     mod = module if module is not None else trivial_module(space, 0, 1)
-    res = bar_resolution(space, "left", job.n_max + 1, _tuple_cap(job.l_max, module))
+    shifts = _shifts(module)
+    res = bar_resolution(space, "left", job.n_max + 1, _tuple_cap(job.l_max, shifts))
     rows = []
-    for g in _grades(space, job.l_max, module):
+    for g in _grades(space, job.l_max, shifts):
         for n in range(job.n_max + 1):
             h = tor_bidegree(space, mod, n, g, resolution=res)
             rows.append(
@@ -216,9 +225,10 @@ def cmd_ext(space, module, job):
         raise InvalidField("ext is computed over a field; use --field Q or Fp:P")
     fld = job.field if job.field is not None else QQ
     mod = module if module is not None else trivial_module(space, 0, 1)
-    res = bar_resolution(space, "right", job.n_max + 1, job.l_max)
+    shifts = _shifts(module, -1)
+    res = bar_resolution(space, "right", job.n_max + 1, _tuple_cap(job.l_max, shifts))
     rows = []
-    for g in _grades(space, job.l_max):
+    for g in _grades(space, job.l_max, shifts):
         for n in range(job.n_max + 1):
             d = ext_bidegree(space, mod, n, g, fld, resolution=res)
             rows.append({"n": n, "l": format_dist(g), "dim": d})
@@ -232,10 +242,11 @@ def cmd_ext(space, module, job):
 
 def cmd_crosscheck(space, module, job):
     mod = module if module is not None else trivial_module(space, 0, 1)
-    res = bar_resolution(space, "left", job.n_max + 1, _tuple_cap(job.l_max, module))
+    shifts = _shifts(module)
+    res = bar_resolution(space, "left", job.n_max + 1, _tuple_cap(job.l_max, shifts))
     rows = []
     mismatches = 0
-    for g in _grades(space, job.l_max, module):
+    for g in _grades(space, job.l_max, shifts):
         if module is None:
             cx = magnitude_complex(space, g, job.n_max)
         else:

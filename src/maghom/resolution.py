@@ -39,31 +39,23 @@ class BarResolution:
         self.side = side
         self.n_max = n_max
         self.l_max = parse_dist(l_max)
-        # full tuple bases: degree n holds (n+2)-tuples of total grade <= l_max
-        self.basis = []
-        self.basis_grade = []
-        self.basis_index = []
-        for n in range(n_max + 1):
-            pairs = tuples_up_to_grade(space, n + 1, self.l_max, normalized=False)
-            tuples = [t for t, _ in pairs]
-            self.basis.append(tuples)
-            self.basis_grade.append([g for _, g in pairs])
-            self.basis_index.append({t: k for k, t in enumerate(tuples)})
-        # free generators: degree n is free on (n+1)-tuples (kept end doubled),
-        # grouped by grade: grade -> generator indices, in generator order
-        self.gens = []
-        self.gen_grade = []
-        self.gen_index = []
-        self._gen_groups = []
-        for n in range(n_max + 1):
-            pairs = tuples_up_to_grade(space, n, self.l_max, normalized=False)
+        # one walk list per arity k = 0..n_max+1: (k+1)-tuples of total
+        # grade <= l_max, their grades, index, and grade -> indices groups in
+        # tuple order.  Degree n is free on the (n+1)-tuples (kept end
+        # doubled) and has the (n+2)-tuples as its full basis, so generators
+        # read arities 0..n_max and the basis reads 1..n_max+1.
+        tuples, grades, index, self._groups = [], [], [], []
+        for k in range(n_max + 2):
+            pairs = tuples_up_to_grade(space, k, self.l_max, normalized=False)
             groups = {}
-            for k, (_, g) in enumerate(pairs):
-                groups.setdefault(g, []).append(k)
-            self.gens.append([t for t, _ in pairs])
-            self.gen_grade.append([g for _, g in pairs])
-            self.gen_index.append({t: k for k, (t, _) in enumerate(pairs)})
-            self._gen_groups.append(groups)
+            for i, (_, g) in enumerate(pairs):
+                groups.setdefault(g, []).append(i)
+            tuples.append([t for t, _ in pairs])
+            grades.append([g for _, g in pairs])
+            index.append({t: i for i, (t, _) in enumerate(pairs)})
+            self._groups.append(groups)
+        self.gens, self.gen_grade, self.gen_index = tuples[:-1], grades[:-1], index[:-1]
+        self.basis, self.basis_grade, self.basis_index = tuples[1:], grades[1:], index[1:]
         self._boundaries = {}
         self._grade_blocks = {}
         self._gen_terms = {}
@@ -101,12 +93,11 @@ class BarResolution:
         return mat
 
     def degree_grades(self, n: int):
-        return sorted(set(self.basis_grade[n]))
+        return sorted(self._groups[n + 1])
 
     def basis_at_grade(self, n: int, grade):
-        """Indices of degree-n basis tuples of exactly this grade."""
-        grade = parse_dist(grade)
-        return [k for k, g in enumerate(self.basis_grade[n]) if g == grade]
+        """Indices of degree-n basis tuples of exactly this grade (a fresh list)."""
+        return list(self._groups[n + 1].get(parse_dist(grade), ()))
 
     def boundary_at_grade(self, n: int, grade) -> SparseMatrix:
         """Per-grade block of the differential (deletions preserve grade)."""
@@ -206,7 +197,7 @@ def _components(res, module, k, grade, sign, end):
     Tor (sign -1, end 0) meets the head component in grade (grade - |a|),
     Ext (sign 1, end -1) the tail component in grade (|a| - grade).  Reads
     only the generator groups at those grades; in generator order."""
-    groups = res._gen_groups[k]
+    groups = res._groups[k]
     gens = res.gens[k]
     found = []
     for h in module.grades():

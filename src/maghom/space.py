@@ -72,10 +72,6 @@ class _InfiniteDistance:
 INF = _InfiniteDistance()
 
 
-def is_finite(d) -> bool:
-    return d is not INF
-
-
 def parse_dist(text):
     """Parse a distance string: an integer, "p/q", or "inf"."""
     if isinstance(text, _InfiniteDistance):

@@ -174,8 +174,21 @@ def test_cochain_c3_dual_face():
 def test_cochain_mod_p_reduction():
     s = c3()
     c2 = magnitude_cochain_complex(s, 2, 2, PrimeField(2))
-    for mat in c2.maps:
-        assert all(v in (0, 1) for v in mat.entries.values())
+    for n in range(5):
+        assert all(v in (0, 1) for v in c2.coboundary(n).entries.values())
+
+
+def test_coboundaries_are_reduced_transposed_boundaries():
+    # random_space(4, 37) has half-unit distances and unreachable pairs
+    for s in (c3(), x2(), random_space(4, 37)):
+        for grade in (1, Fraction(3, 2), 2, 3):
+            chain = magnitude_complex(s, grade, 2)
+            for p in (2, 3):
+                cochain = magnitude_cochain_complex(s, grade, 2, PrimeField(p))
+                assert cochain.maps == chain.maps
+                for n in range(5):
+                    expected = chain.boundary(n + 1).transpose().reduce_mod(p)
+                    assert cochain.coboundary(n) == expected, (grade, p, n)
 
 
 def test_cochain_rejects_non_field():
@@ -209,7 +222,7 @@ def test_tuples_up_to_grade_consistency():
 
 
 def test_cochain_verify_reduces_mod_p():
-    # products of reduced matrices may be nonzero integers that vanish mod p
+    # a field-tagged complex keeps the integer boundaries, which compose to zero
     for s in (c3(), k2()):
         for g in (1, 2, 3):
             assert magnitude_cochain_complex(s, g, 3, PrimeField(2)).verify()

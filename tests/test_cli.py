@@ -198,6 +198,32 @@ def test_module_grades_are_scanned(capsys, tmp_path):
     assert json.loads(out)["status"] == "all bidegrees agree"
 
 
+def test_ext_scans_module_grades(capsys, tmp_path):
+    # Ext at grade l meets M in grade |a| - l: the 1/2 components shift the
+    # tuple grades 0 and 1 down to -1/2 and 1/2
+    from maghom.distmod import validate_module
+    from maghom.resolution import ext_bidegree
+
+    (tmp_path / "sp.json").write_text(json.dumps(ONE_ARC))
+    module = {
+        "space": "sp.json",
+        "components": {"a": [["1/2", 1]], "b": [["1/2", 1]]},
+        "actions": {},
+    }
+    p = tmp_path / "mod.json"
+    p.write_text(json.dumps(module))
+    _, space, mod = mio.load_input(str(p))
+    assert validate_module(space, mod) == []
+    expected = [(0, "-1/2", 2), (1, "-1/2", 0), (0, "1/2", 0), (1, "1/2", 1)]
+    for n, l, dim in expected:
+        assert ext_bidegree(space, mod, n, l, QQ) == dim
+    jobs = (("ext", str(p)), ("ext", str(tmp_path / "sp.json"), "--coefficients", str(p)))
+    for argv in jobs:
+        code, out = run(capsys, *argv, "--field", "Q", "--nmax", "1", "--lmax", "2", "--format", "json")
+        assert code == 0, out
+        assert [(r["n"], r["l"], r["dim"]) for r in json.loads(out)["rows"]] == expected
+
+
 def test_negative_module_grades_are_scanned(capsys, tmp_path):
     # M(a) in grade -1 maps onto M(b) in grade 0: H_0 is M(a) at grade -1
     (tmp_path / "sp.json").write_text(json.dumps(ONE_ARC))

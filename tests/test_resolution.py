@@ -18,7 +18,7 @@ from maghom.resolution import (
 )
 from maghom.space import INF
 
-from oracles import full_scan_ext_space, full_scan_tor_space
+from oracles import exhaustive_tuples_up_to, full_scan_ext_space, full_scan_tor_space
 
 
 def test_right_degree_zero_basis_x2():
@@ -30,6 +30,67 @@ def test_right_degree_zero_basis_x2():
     assert h0.betti == 2 and not h0.torsion
     h0_pos = resolution_homology(res, 0, 1)
     assert h0_pos.is_zero()
+
+
+def _walk_list_cases():
+    from maghom.gen import random_space
+
+    # random_space(4, 37) has half-unit distances and unreachable pairs
+    for space in (c3(), x2(), random_space(4, 37)):
+        for side in ("left", "right"):
+            yield space, bar_resolution(space, side, 2, Fraction(5, 2))
+
+
+def test_walk_lists_match_exhaustive_oracle():
+    for space, res in _walk_list_cases():
+        for n in range(res.n_max + 1):
+            for tuples, grades, index, arity in (
+                (res.gens, res.gen_grade, res.gen_index, n),
+                (res.basis, res.basis_grade, res.basis_index, n + 1),
+            ):
+                expected = exhaustive_tuples_up_to(space, arity, res.l_max, normalized=False)
+                assert list(zip(tuples[n], grades[n])) == expected, (res.side, n, arity)
+                assert index[n] == {t: k for k, (t, _) in enumerate(expected)}
+
+
+def test_grade_lookups_match_full_scans():
+    for _, res in _walk_list_cases():
+        for n in range(res.n_max + 1):
+            grades = res.basis_grade[n]
+            assert res.degree_grades(n) == sorted(set(grades))
+            for g in res.degree_grades(n) + [Fraction(1, 3), Fraction(-1), INF]:
+                assert res.basis_at_grade(n, g) == [k for k, h in enumerate(grades) if h == g]
+            assert res.basis_at_grade(n, Fraction(1, 3)) == []
+
+
+def test_grade_lookups_return_fresh_lists():
+    res = bar_resolution(c3(), "left", 2, 2)
+    before = [res.basis_at_grade(n, g) for n in range(3) for g in res.degree_grades(n)]
+    for n in range(3):
+        for g in res.degree_grades(n):
+            res.basis_at_grade(n, g).append(-1)
+            res.degree_grades(n).clear()
+            res.basis_at_grade(n, Fraction(1, 3)).append(-1)
+    assert [res.basis_at_grade(n, g) for n in range(3) for g in res.degree_grades(n)] == before
+    assert res.basis_at_grade(1, Fraction(1, 3)) == []
+
+
+def test_each_arity_is_enumerated_once(monkeypatch):
+    import maghom.resolution as resolution
+
+    arities = []
+    enumerate_walks = resolution.tuples_up_to_grade
+
+    def counted(space, n, cap, normalized=True):
+        arities.append(n)
+        return enumerate_walks(space, n, cap, normalized)
+
+    monkeypatch.setattr(resolution, "tuples_up_to_grade", counted)
+    res = bar_resolution(c3(), "right", 3, 2)
+    assert arities == [0, 1, 2, 3, 4]
+    # the degree-n basis and the degree-(n+1) generators are one list
+    for n in range(res.n_max):
+        assert res.basis[n] is res.gens[n + 1]
 
 
 def test_boundaries_square_to_zero(suite):
