@@ -131,6 +131,16 @@ def _grades(space, l_max, shifts):
     return sorted({g + s for g in tuple_grades for s in shifts if g + s <= l_max})
 
 
+def _resolved(space, module, job, side):
+    """The module (trivial of rank 1 at grade 0 when none is given), a bar
+    resolution on `side` deep enough for the scan, and the grades to scan:
+    Tor meets M in grade l - g, Ext in grade g - l."""
+    mod = module if module is not None else trivial_module(space, 0, 1)
+    shifts = _shifts(module, 1 if side == "left" else -1)
+    res = bar_resolution(space, side, job.n_max + 1, _tuple_cap(job.l_max, shifts))
+    return mod, res, _grades(space, job.l_max, shifts)
+
+
 def cmd_validate(space, module, job):
     if module is not None:
         problems = validate_module(space, module)
@@ -197,11 +207,9 @@ def cmd_mh(space, module, job):
 def cmd_tor(space, module, job):
     if job.field not in (None, INTEGERS):
         raise InvalidField("tor reports integral betti and torsion; use --field Z")
-    mod = module if module is not None else trivial_module(space, 0, 1)
-    shifts = _shifts(module)
-    res = bar_resolution(space, "left", job.n_max + 1, _tuple_cap(job.l_max, shifts))
+    mod, res, grades = _resolved(space, module, job, "left")
     rows = []
-    for g in _grades(space, job.l_max, shifts):
+    for g in grades:
         for n in range(job.n_max + 1):
             h = tor_bidegree(space, mod, n, g, resolution=res)
             rows.append(
@@ -224,11 +232,9 @@ def cmd_ext(space, module, job):
     if job.field is INTEGERS:
         raise InvalidField("ext is computed over a field; use --field Q or Fp:P")
     fld = job.field if job.field is not None else QQ
-    mod = module if module is not None else trivial_module(space, 0, 1)
-    shifts = _shifts(module, -1)
-    res = bar_resolution(space, "right", job.n_max + 1, _tuple_cap(job.l_max, shifts))
+    mod, res, grades = _resolved(space, module, job, "right")
     rows = []
-    for g in _grades(space, job.l_max, shifts):
+    for g in grades:
         for n in range(job.n_max + 1):
             d = ext_bidegree(space, mod, n, g, fld, resolution=res)
             rows.append({"n": n, "l": format_dist(g), "dim": d})
@@ -241,12 +247,10 @@ def cmd_ext(space, module, job):
 
 
 def cmd_crosscheck(space, module, job):
-    mod = module if module is not None else trivial_module(space, 0, 1)
-    shifts = _shifts(module)
-    res = bar_resolution(space, "left", job.n_max + 1, _tuple_cap(job.l_max, shifts))
+    mod, res, grades = _resolved(space, module, job, "left")
     rows = []
     mismatches = 0
-    for g in _grades(space, job.l_max, shifts):
+    for g in grades:
         if module is None:
             cx = magnitude_complex(space, g, job.n_max)
         else:

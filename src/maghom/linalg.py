@@ -50,11 +50,39 @@ class RationalField:
         return hash("QQ")
 
 
+# Miller-Rabin with these bases decides primality exactly below 2**64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _WITNESSES:
+        x = pow(a, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """The field with p elements; elements are ints in range(p)."""
+    """The field with p elements, p a prime below 2**64; elements are ints in range(p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= 2**64:
+            raise InvalidField("prime fields are supported for p < 2**64")
+        if not _is_prime(p):
             raise InvalidField(f"{p} is not prime")
         self.p = p
 

@@ -12,6 +12,8 @@ the differential written on generators has coefficients in the algebra.
 Tensoring a right module against the left resolution and Hom-ing the right
 resolution into a right module then reduce to finite integer matrices,
 giving a computation of Tor and Ext independent of the chain-complex route.
+Both are one module complex: the Hom coboundaries are read as the transposed
+maps that the same builder assembles on the right resolution.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from .errors import ResolutionTooShort, UnvalidatedModule
 from .linalg import (
     HomologySummary,
-    PrimeField,
     SparseMatrix,
     check_field,
     homology_at,
@@ -92,12 +93,18 @@ class BarResolution:
         self._boundaries[n] = mat
         return mat
 
+    def _basis_groups(self, n: int):
+        """grade -> indices of the degree-n basis tuples of that grade."""
+        if not 0 <= n <= self.n_max:
+            raise ResolutionTooShort(f"degree {n} outside 0..{self.n_max}")
+        return self._groups[n + 1]
+
     def degree_grades(self, n: int):
-        return sorted(self._groups[n + 1])
+        return sorted(self._basis_groups(n))
 
     def basis_at_grade(self, n: int, grade):
         """Indices of degree-n basis tuples of exactly this grade (a fresh list)."""
-        return list(self._groups[n + 1].get(parse_dist(grade), ()))
+        return list(self._basis_groups(n).get(parse_dist(grade), ()))
 
     def boundary_at_grade(self, n: int, grade) -> SparseMatrix:
         """Per-grade block of the differential (deletions preserve grade)."""
@@ -187,16 +194,17 @@ def resolution_homology(res: BarResolution, n: int, grade) -> HomologySummary:
 
 
 # ---------------------------------------------------------------------------
-# Module components met by the free generators (Tor and Ext)
+# The module complex over the bar resolution: Tor and Ext
 
 
-def _components(res, module, k, grade, sign, end):
-    """(gen_index, h, rank) for every degree-k generator a of grade
-    grade + sign*h whose end point a[end] carries a nonzero M(a[end])_h.
+def _components(res, module, k, grade):
+    """(gen_index, h, rank) for every degree-k generator a whose module end
+    carries a nonzero component of grade h, in generator order.
 
-    Tor (sign -1, end 0) meets the head component in grade (grade - |a|),
-    Ext (sign 1, end -1) the tail component in grade (|a| - grade).  Reads
-    only the generator groups at those grades; in generator order."""
+    A left resolution (Tor, M tensor P) meets the head M(a[0]) in grade
+    h = grade - |a|, a right one (Ext, Hom(P, M)) the tail M(a[-1]) in grade
+    h = |a| - grade.  Reads only the generator groups at those grades."""
+    sign, end = (-1, 0) if res.side == "left" else (1, -1)
     groups = res._groups[k]
     gens = res.gens[k]
     found = []
@@ -210,56 +218,78 @@ def _components(res, module, k, grade, sign, end):
     return found
 
 
-def _action_memo(module):
-    """module.action_matrix by (pair, grade), each computed once per use."""
-    cache = {}
-
-    def action_along(pair, grade):
-        action = cache.get((pair, grade))
-        if action is None:
-            action = cache[pair, grade] = module.action_matrix(pair[0], pair[1], grade)
-        return action
-
-    return action_along
+def _module_basis(res, module, k, grade):
+    """Basis (gen_index, j) of the module complex in one degree and grade."""
+    return [(gi, j) for gi, _, r in _components(res, module, k, grade) for j in range(r)]
 
 
-# ---------------------------------------------------------------------------
-# Tor via the left resolution
+def _module_matrix(res, module, k, grade):
+    """The module complex's map from degree k to k-1 at one grade.
 
-
-def _tor_space(res, module, k, grade):
-    """Basis of (module tensor resolution) in one degree and grade.
-
-    Entries are (gen_index, j): generator a with head x_0 contributes the
-    component M(x_0) in grade (grade - |a|)."""
-    return [(gi, j) for gi, _, r in _components(res, module, k, grade, -1, 0) for j in range(r)]
-
-
-def _tor_matrix(res, module, k, grade):
-    """Differential of the tensored complex, degree k -> k-1, one grade."""
-    src = _components(res, module, k, grade, -1, 0)
-    tgt = _tor_space(res, module, k - 1, grade)
-    tgt_pos = {lab: r for r, lab in enumerate(tgt)}
+    On a left resolution this is d_k of M tensor P; on a right one it is the
+    transpose of Hom's coboundary delta_(k-1), which has the same rank over
+    a field.  A freed pair moves the coefficient along M(pair): on the left
+    forward out of the source generator's component, on the right back from
+    the target generator's component through the transposed action."""
+    left = res.side == "left"
+    tgt = {}  # gen index -> (first row, component grade)
+    rows = 0
+    for ti, h, r in _components(res, module, k - 1, grade):
+        tgt[ti] = (rows, h)
+        rows += r
+    src = _components(res, module, k, grade)
     terms = res.gen_boundary_terms(k)
-    mat = SparseMatrix(len(tgt), sum(r for _, _, r in src))
-    action_along = _action_memo(module)
+    actions = {}
+    mat = SparseMatrix(rows, sum(r for _, _, r in src))
     col = 0
-    for gi, comp_grade, r in src:
+    for gi, h, r in src:
         for j in range(r):
             for sign, pair, ti in terms[gi]:
+                target = tgt.get(ti)
+                if target is None:
+                    continue
+                first, th = target
                 if pair is None:
-                    key = (ti, j)
-                    if key in tgt_pos:
-                        mat.add_at(tgt_pos[key], col, sign)
-                else:
-                    action = action_along(pair, comp_grade)
-                    for i_row, row in enumerate(action):
-                        if row[j]:
-                            key = (ti, i_row)
-                            if key in tgt_pos:
-                                mat.add_at(tgt_pos[key], col, sign * row[j])
+                    mat.add_at(first + j, col, sign)
+                    continue
+                at = h if left else th
+                action = actions.get((pair, at))
+                if action is None:
+                    action = actions[pair, at] = module.action_matrix(pair[0], pair[1], at)
+                coeffs = [row[j] for row in action] if left else action[j]
+                for i, v in enumerate(coeffs):
+                    if v:
+                        mat.add_at(first + i, col, sign * v)
             col += 1
     return mat
+
+
+def _module_maps(space, module, n, grade, resolution, side):
+    """(dim_n, d_n, d_(n+1)) of the module complex at bidegree (n, grade),
+    on the given resolution or a default one on `side`; d_0 is zero."""
+    if not module.validated:
+        raise UnvalidatedModule("run validate_module first")
+    # the deepest tuple grade a query touches: grade - h on the left, grade + h on the right
+    sign = -1 if side == "left" else 1
+    needed = grade + max((sign * h for h in module.grades()), default=0)
+    if resolution is None:
+        resolution = bar_resolution(space, side, n + 1, max(needed, 0))
+    if resolution.side != side:
+        functor = "Tor" if side == "left" else "Ext"
+        raise ResolutionTooShort(f"{functor} needs a {side} resolution")
+    if not 0 <= n < resolution.n_max:
+        raise ResolutionTooShort(
+            f"homological degree {n} outside 0..{resolution.n_max - 1} of the resolution"
+        )
+    resolution.check_grade_fit(needed)
+    dim_n = len(_module_basis(resolution, module, n, grade))
+    d_n = (
+        _module_matrix(resolution, module, n, grade)
+        if n >= 1
+        else SparseMatrix(0, dim_n)
+    )
+    d_np1 = _module_matrix(resolution, module, n + 1, grade)
+    return dim_n, d_n, d_np1
 
 
 def tor_bidegree(space, module, n: int, grade, resolution: BarResolution | None = None) -> HomologySummary:
@@ -269,98 +299,17 @@ def tor_bidegree(space, module, n: int, grade, resolution: BarResolution | None 
     decomposition; betti and torsion come from exact integer elimination.
     """
     grade = parse_dist(grade)
-    if not module.validated:
-        raise UnvalidatedModule("run validate_module first")
-    # components sit at grade - |a|: the deepest tuple grade a query touches
-    mod_grades = module.grades()
-    needed = grade - min(mod_grades) if mod_grades else grade
-    if resolution is None:
-        resolution = bar_resolution(space, "left", n + 1, max(needed, 0))
-    if resolution.side != "left":
-        raise ResolutionTooShort("Tor needs a left resolution")
-    if n + 1 > resolution.n_max:
-        raise ResolutionTooShort(
-            f"homological degree {n} needs resolution degree {n + 1} > n_max {resolution.n_max}"
-        )
-    resolution.check_grade_fit(needed)
-    dim_n = len(_tor_space(resolution, module, n, grade))
-    d_n = (
-        _tor_matrix(resolution, module, n, grade)
-        if n >= 1
-        else SparseMatrix(0, dim_n)
-    )
-    d_np1 = _tor_matrix(resolution, module, n + 1, grade)
+    dim_n, d_n, d_np1 = _module_maps(space, module, n, grade, resolution, "left")
     return homology_at(d_n, d_np1, dim_n, n=n, grade=grade)
 
 
-# ---------------------------------------------------------------------------
-# Ext via the right resolution
-
-
-def _ext_space(res, module, k, grade):
-    """Basis of Hom(resolution, module) in one degree and internal grade.
-
-    Entries are (gen_index, j): generator a with tail x_n contributes the
-    component M(x_n) in grade (|a| - grade)."""
-    return [(gi, j) for gi, _, r in _components(res, module, k, grade, 1, -1) for j in range(r)]
-
-
-def _ext_matrix(res, module, k, grade, fld):
-    """Coboundary of the Hom complex, degree k -> k+1, one internal grade."""
-    src = _components(res, module, k, grade, 1, -1)
-    tgt = _ext_space(res, module, k + 1, grade)
-    src_pos = {}
-    src_grade = {}
-    for gi, h, r in src:
-        src_grade[gi] = h
-        for j in range(r):
-            src_pos[(gi, j)] = len(src_pos)
-    terms = res.gen_boundary_terms(k + 1)
-    action_along = _action_memo(module)
-    mat = SparseMatrix(len(tgt), len(src_pos))
-    for row_i, (bi, j) in enumerate(tgt):
-        for sign, pair, ai in terms[bi]:
-            if pair is None:
-                key = (ai, j)
-                if key in src_pos:
-                    mat.add_at(row_i, src_pos[key], sign)
-            elif ai in src_grade:
-                # phi(g_b) picks up phi(g_a) pushed along the freed pair
-                action = action_along(pair, src_grade[ai])
-                if j < len(action):
-                    row = action[j]
-                    for c, v in enumerate(row):
-                        if v:
-                            key = (ai, c)
-                            if key in src_pos:
-                                mat.add_at(row_i, src_pos[key], sign * v)
-    if isinstance(fld, PrimeField):
-        mat = mat.reduce_mod(fld.p)
-    return mat
-
-
 def ext_bidegree(space, module, n: int, grade, fld, resolution: BarResolution | None = None) -> int:
-    """dim over the field of Ext(grade-0 quotient, module) at bidegree (n, grade)."""
+    """dim over the field of Ext(grade-0 quotient, module) at bidegree (n, grade).
+
+    Homs the right bar resolution into the module; the coboundaries are read
+    as the transposed maps of the module complex, whose ranks they share.
+    """
     check_field(fld)
     grade = parse_dist(grade)
-    if not module.validated:
-        raise UnvalidatedModule("run validate_module first")
-    # components sit at |a| - grade: the deepest tuple grade a query touches
-    mod_grades = module.grades()
-    needed = max(mod_grades) + grade if mod_grades else grade
-    if resolution is None:
-        resolution = bar_resolution(space, "right", n + 1, max(needed, 0))
-    if resolution.side != "right":
-        raise ResolutionTooShort("Ext needs a right resolution")
-    if n + 1 > resolution.n_max:
-        raise ResolutionTooShort(
-            f"homological degree {n} needs resolution degree {n + 1} > n_max {resolution.n_max}"
-        )
-    resolution.check_grade_fit(needed)
-    dim_n = len(_ext_space(resolution, module, n, grade))
-    delta_n = _ext_matrix(resolution, module, n, grade, fld)
-    if n >= 1:
-        delta_prev = _ext_matrix(resolution, module, n - 1, grade, fld)
-    else:
-        delta_prev = SparseMatrix(dim_n, 0)
-    return dim_n - rank_over_field(delta_n, fld) - rank_over_field(delta_prev, fld)
+    dim_n, d_n, d_np1 = _module_maps(space, module, n, grade, resolution, "right")
+    return dim_n - rank_over_field(d_n, fld) - rank_over_field(d_np1, fld)

@@ -221,7 +221,7 @@ def test_tuples_up_to_grade_consistency():
             assert [t for t, gg in pairs if gg == g] == enumerate_tuples(s, n, g)
 
 
-def test_cochain_verify_reduces_mod_p():
+def test_field_tagged_cochain_boundaries_compose_to_zero():
     # a field-tagged complex keeps the integer boundaries, which compose to zero
     for s in (c3(), k2()):
         for g in (1, 2, 3):

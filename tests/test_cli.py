@@ -367,6 +367,8 @@ def test_unknown_format_is_rejected_before_computing(capsys, k2_file, monkeypatc
 
 def test_unknown_field_is_a_structured_error(capsys, k2_file):
     assert _error(*run(capsys, "mh", k2_file, "--field", "R"))["error"] == "InvalidField"
+    # a 401-digit modulus is rejected by size, with no float square root to overflow
+    assert _error(*run(capsys, "ext", k2_file, "--field", f"Fp:{10**400 + 1}"))["error"] == "InvalidField"
 
 
 def test_seed_is_only_a_gen_flag(capsys, k2_file):

@@ -97,6 +97,17 @@ def test_rank_rejects_non_field():
         PrimeField(6)
 
 
+def test_prime_field_decides_primality_exactly_below_2_64():
+    # 561 is a Carmichael number: it passes the Fermat test to every base prime to it
+    for composite in (0, 1, 561, 10**18 + 1, (2**31 - 1) * (2**31 + 11)):
+        with pytest.raises(InvalidField):
+            PrimeField(composite)
+    for prime in (2, 37, 41, 2**61 - 1, 10**18 + 3, 2**64 - 59):
+        assert PrimeField(prime).p == prime
+    with pytest.raises(InvalidField):
+        PrimeField(2**64 + 13)
+
+
 def test_rank_matches_snf_count():
     rng = random.Random(7)
     for _ in range(25):

@@ -9,8 +9,7 @@ from maghom.gen import random_module
 from maghom.instances import c3, k2, x2
 from maghom.linalg import QQ, PrimeField
 from maghom.resolution import (
-    _ext_space,
-    _tor_space,
+    _module_basis,
     bar_resolution,
     ext_bidegree,
     resolution_homology,
@@ -73,6 +72,26 @@ def test_grade_lookups_return_fresh_lists():
             res.basis_at_grade(n, Fraction(1, 3)).append(-1)
     assert [res.basis_at_grade(n, g) for n in range(3) for g in res.degree_grades(n)] == before
     assert res.basis_at_grade(1, Fraction(1, 3)) == []
+
+
+def test_degrees_outside_the_resolution_are_rejected():
+    space = c3()
+    module = trivial_module(space, 0, 1)
+    left = bar_resolution(space, "left", 2, 2)
+    right = bar_resolution(space, "right", 2, 2)
+    for n in (-1, 3):
+        with pytest.raises(ResolutionTooShort):
+            left.basis_at_grade(n, 0)
+        with pytest.raises(ResolutionTooShort):
+            left.degree_grades(n)
+    # homological degree n reads resolution degrees n and n + 1
+    for n in (-1, 2):
+        with pytest.raises(ResolutionTooShort):
+            tor_bidegree(space, module, n, 0, resolution=left)
+        with pytest.raises(ResolutionTooShort):
+            ext_bidegree(space, module, n, 0, QQ, resolution=right)
+    with pytest.raises(ResolutionTooShort):
+        tor_bidegree(space, module, -1, 0)
 
 
 def test_each_arity_is_enumerated_once(monkeypatch):
@@ -341,22 +360,30 @@ def _coefficient_cochain_dims(space, module, grade, n_max, fld):
 
 
 def test_ext_with_module_coefficients_matches_dual_complex():
-    from maghom.gen import random_module
+    from maghom.gen import random_module, random_space
     from maghom.space import attainable_grades
 
+    cases = []
     for name, space in (("X2", x2()), ("C3", c3())):
-        for seed in (0, 4, 8):
-            module = random_module(space, seed)
-            res = bar_resolution(space, "right", 3, 6)
-            for fld in (QQ, PrimeField(3)):
-                grades = attainable_grades(space, 2) + [-1, -2, -3]
-                for g in grades:
-                    oracle = _coefficient_cochain_dims(space, module, g, 2, fld)
-                    got = [
-                        ext_bidegree(space, module, n, g, fld, resolution=res)
-                        for n in range(3)
-                    ]
-                    assert got == oracle, (name, seed, g, fld)
+        grades = attainable_grades(space, 2) + [-1, -2, -3]
+        cases += [((name, seed), space, random_module(space, seed), grades) for seed in (0, 4, 8)]
+    # half-unit distances and unreachable pairs; modules off the space's
+    # lattice, queried at every grade g - h they meet
+    space = random_space(4, 37)
+    for i, module in enumerate(_graded_modules(space)):
+        hs = module.grades()
+        grades = {g - h for g in attainable_grades(space, 3) for h in hs}
+        cases.append((("R37", i), space, module, sorted(g for g in grades if g + max(hs) <= 6)))
+    for case, space, module, grades in cases:
+        res = bar_resolution(space, "right", 3, 6)
+        for fld in (QQ, PrimeField(2), PrimeField(3)):
+            for g in grades:
+                oracle = _coefficient_cochain_dims(space, module, g, 2, fld)
+                got = [
+                    ext_bidegree(space, module, n, g, fld, resolution=res)
+                    for n in range(3)
+                ]
+                assert got == oracle, (case, g, fld)
 
 
 def test_degree_zero_matches_module_functors():
@@ -430,9 +457,9 @@ def test_grouped_spaces_equal_full_scan():
             )
             for k in range(4):
                 for g in grades:
-                    tor = _tor_space(left, module, k, g)
+                    tor = _module_basis(left, module, k, g)
                     assert tor == full_scan_tor_space(left, module, k, g)
-                    ext = _ext_space(right, module, k, g)
+                    ext = _module_basis(right, module, k, g)
                     assert ext == full_scan_ext_space(right, module, k, g)
 
 
