@@ -9,7 +9,6 @@ and tuples of lower grade are identified with zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import UnvalidatedModule
@@ -42,8 +41,10 @@ def _walks(space: QuasimetricSpace, n: int, cap: int, normalized: bool):
     Built one step at a time; each level keeps lexicographic order because
     every prefix is extended by its next points in increasing order.  A
     prefix is dropped once the steps it still needs, each at least the
-    least allowed step, cannot fit under the cap.
+    least allowed step, cannot fit under the cap.  A negative n has none.
     """
+    if n < 0:
+        return []
     steps = space.steps(distinct=normalized)
     least = min((d for row in steps for _, d in row), default=0) if normalized else 0
     level = [((i,), 0) for i in range(len(space))]
@@ -84,41 +85,65 @@ def tuples_up_to_grade(space: QuasimetricSpace, n: int, cap, normalized: bool = 
     return [(t, grades[u]) for t, u in pairs]
 
 
-@dataclass
 class BasedComplex:
-    """A chain complex on explicit ordered bases with sparse integer matrices.
+    """A chain complex on explicit ordered bases with sparse integer boundaries.
 
-    maps[n] is the boundary d_n from degree n to n-1, and maps[0] has zero
-    rows.  Degrees run 0..n_max+1 so homology at n_max is exact, never
-    extrapolated.  The dual cochain complex is read through coboundary();
-    field tags the field that coboundaries are reduced into.
+    basis_of(n) builds the degree-n basis and boundary_of(n, source, target)
+    the boundary d_n on the degree-n and degree-(n-1) bases; each degree is
+    built once, on first use, and each field rank is taken once.  Degrees run
+    0..n_max+1 so homology at n_max is exact, never extrapolated; outside
+    them the complex is zero, so d_0 and d_(n_max+2) are zero maps.  The
+    dual cochain complex is read through coboundary(); field tags the field
+    that coboundaries are reduced into.
     """
 
-    space: QuasimetricSpace
-    grade: Fraction
-    n_max: int
-    bases: list
-    maps: list
-    field: object = None
+    def __init__(self, n_max: int, basis_of, boundary_of, grade=Fraction(0), field=None):
+        self.n_max = n_max
+        self.grade = grade
+        self.field = field
+        self._basis_of = basis_of
+        self._boundary_of = boundary_of
+        self._bases = {}
+        self._maps = {}
+        self._ranks = {}
+
+    def basis(self, n: int) -> list:
+        if not 0 <= n <= self.n_max + 1:
+            return []
+        if n not in self._bases:
+            self._bases[n] = self._basis_of(n)
+        return self._bases[n]
+
+    @property
+    def bases(self) -> list:
+        return [self.basis(n) for n in range(self.n_max + 2)]
+
+    @property
+    def maps(self) -> list:
+        """d_0..d_(n_max+1); maps[0] has zero rows."""
+        return [self.boundary(n) for n in range(self.n_max + 2)]
 
     def dim(self, n: int) -> int:
-        if 0 <= n < len(self.bases):
-            return len(self.bases[n])
-        return 0
+        return len(self.basis(n))
 
     def top_degree(self) -> int:
-        return len(self.bases) - 1
+        return self.n_max + 1
+
+    def boundary(self, n: int) -> SparseMatrix:
+        if n not in self._maps:
+            if 1 <= n <= self.n_max + 1:
+                mat = self._boundary_of(n, self.basis(n), self.basis(n - 1))
+            else:
+                mat = SparseMatrix(self.dim(n - 1), self.dim(n))
+            self._maps[n] = mat
+        return self._maps[n]
 
     def verify(self) -> bool:
         """Exact check that consecutive boundaries compose to zero."""
         return all(
-            self.maps[n - 1].matmul(self.maps[n]).is_zero() for n in range(1, len(self.maps))
+            self.boundary(n - 1).matmul(self.boundary(n)).is_zero()
+            for n in range(1, self.n_max + 2)
         )
-
-    def boundary(self, n: int) -> SparseMatrix:
-        if n < len(self.maps):
-            return self.maps[n]
-        return SparseMatrix(self.dim(n - 1), 0)
 
     def coboundary(self, n: int) -> SparseMatrix:
         """delta_n, degree n -> n+1: the transposed boundary d_(n+1), with
@@ -128,24 +153,41 @@ class BasedComplex:
             mat = mat.reduce_mod(self.field.p)
         return mat
 
-    def homology(self, n: int) -> HomologySummary:
+    def _check_degree(self, n: int):
         if not 0 <= n <= self.n_max:
             raise ValueError(f"degree {n} outside computed range 0..{self.n_max}")
-        d_n = self.boundary(n)
-        d_np1 = self.boundary(n + 1)
+
+    def _rank(self, n: int, fld) -> int:
+        key = (n, fld)
+        if key not in self._ranks:
+            self._ranks[key] = rank_over_field(self.boundary(n), fld)
+        return self._ranks[key]
+
+    def homology(self, n: int) -> HomologySummary:
+        self._check_degree(n)
+        d_n, d_np1 = self.boundary(n), self.boundary(n + 1)
         return homology_at(d_n, d_np1, self.dim(n), n=n, grade=self.grade)
 
     def homology_dim_over(self, n: int, fld) -> int:
         """dim over a field of homology at degree n; by duality over a field,
         also the dim of cohomology there."""
         check_field(fld)
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"degree {n} outside computed range 0..{self.n_max}")
-        return (
-            self.dim(n)
-            - rank_over_field(self.boundary(n), fld)
-            - rank_over_field(self.boundary(n + 1), fld)
-        )
+        self._check_degree(n)
+        return self.dim(n) - self._rank(n, fld) - self._rank(n + 1, fld)
+
+
+def _built(cx: BasedComplex) -> BasedComplex:
+    """Build every degree now, so a chain builder returns its complex assembled.
+
+    The bases go first, in one run: interleaving the long-lived tuple lists
+    with each boundary's temporary index fragments the heap (chain-z's peak
+    RSS rose by 0.3 MB).
+    """
+    for n in range(cx.n_max + 2):
+        cx.basis(n)
+    for n in range(cx.n_max + 2):
+        cx.boundary(n)
+    return cx
 
 
 def magnitude_complex(space: QuasimetricSpace, grade, n_max: int) -> BasedComplex:
@@ -156,26 +198,26 @@ def magnitude_complex(space: QuasimetricSpace, grade, n_max: int) -> BasedComple
     that point deleted; built through degree n_max+1.
     """
     grade = parse_dist(grade)
-    bases, maps = _boundaries(space, grade, n_max)
-    return BasedComplex(space=space, grade=grade, n_max=n_max, bases=bases, maps=maps)
+    return _built(_trivial_complex(space, grade, n_max, None))
 
 
-def _boundaries(space: QuasimetricSpace, grade: Fraction, n_max: int):
-    """(bases, maps) of the trivial-coefficient chain complex at one grade;
-    the one assembly that the chain and cochain complexes share."""
-    bases = [enumerate_tuples(space, n, grade, normalized=True) for n in range(n_max + 2)]
-    index = [{t: k for k, t in enumerate(b)} for b in bases]
-    maps = [SparseMatrix(0, len(bases[0]))]
-    for n in range(1, n_max + 2):
-        mat = SparseMatrix(len(bases[n - 1]), len(bases[n]))
-        target_index = index[n - 1]
-        for col, t in enumerate(bases[n]):
+def _trivial_complex(space: QuasimetricSpace, grade: Fraction, n_max: int, fld) -> BasedComplex:
+    """The trivial-coefficient complex at one grade; the one assembly that
+    the chain and cochain complexes share."""
+
+    def boundary(n, src, tgt):
+        target_index = {t: k for k, t in enumerate(tgt)}
+        mat = SparseMatrix(len(tgt), len(src))
+        for col, t in enumerate(src):
             for i in range(1, n):
                 if space.between_idx(t[i - 1], t[i], t[i + 1]):
                     face = t[:i] + t[i + 1 :]
                     mat.add_at(target_index[face], col, -1 if i % 2 else 1)
-        maps.append(mat)
-    return bases, maps
+        return mat
+
+    return BasedComplex(
+        n_max, lambda n: enumerate_tuples(space, n, grade), boundary, grade=grade, field=fld
+    )
 
 
 def magnitude_complex_with_coefficients(space, module, grade, n_max: int) -> BasedComplex:
@@ -195,19 +237,18 @@ def magnitude_complex_with_coefficients(space, module, grade, n_max: int) -> Bas
     # a tuple of grade g meets M in grade l - g: below 0 only for a module
     # with components in negative grades
     cap = grade - min([0] + module.grades())
-    bases = []
-    for n in range(n_max + 2):
-        basis = []
-        for t, g in tuples_up_to_grade(space, n, cap, normalized=True):
-            r = module.rank_at(t[0], grade - g)
-            basis.extend((t, j) for j in range(r))
-        bases.append(basis)
-    index = [{lab: k for k, lab in enumerate(b)} for b in bases]
-    maps = [SparseMatrix(0, len(bases[0]))]
-    for n in range(1, n_max + 2):
-        mat = SparseMatrix(len(bases[n - 1]), len(bases[n]))
-        target_index = index[n - 1]
-        for col, (t, j) in enumerate(bases[n]):
+
+    def basis(n):
+        return [
+            (t, j)
+            for t, g in tuples_up_to_grade(space, n, cap, normalized=True)
+            for j in range(module.rank_at(t[0], grade - g))
+        ]
+
+    def boundary(n, src, tgt):
+        target_index = {lab: k for k, lab in enumerate(tgt)}
+        mat = SparseMatrix(len(tgt), len(src))
+        for col, (t, j) in enumerate(src):
             g = tuple_grade(space, t)
             # face 0: coefficient moves along the action M(x_0, x_1)
             action = module.action_matrix(t[0], t[1], grade - g)
@@ -220,8 +261,9 @@ def magnitude_complex_with_coefficients(space, module, grade, n_max: int) -> Bas
                 if space.between_idx(t[i - 1], t[i], t[i + 1]):
                     face = t[:i] + t[i + 1 :]
                     mat.add_at(target_index[(face, j)], col, -1 if i % 2 else 1)
-        maps.append(mat)
-    return BasedComplex(space=space, grade=grade, n_max=n_max, bases=bases, maps=maps)
+        return mat
+
+    return _built(BasedComplex(n_max, basis, boundary, grade=grade))
 
 
 def magnitude_cochain_complex(space, grade, n_max: int, fld) -> BasedComplex:
@@ -229,5 +271,4 @@ def magnitude_cochain_complex(space, grade, n_max: int, fld) -> BasedComplex:
     coboundary(n), the transpose of boundary(n+1) reduced into the field."""
     check_field(fld)
     grade = parse_dist(grade)
-    bases, maps = _boundaries(space, grade, n_max)
-    return BasedComplex(space=space, grade=grade, n_max=n_max, bases=bases, maps=maps, field=fld)
+    return _built(_trivial_complex(space, grade, n_max, fld))

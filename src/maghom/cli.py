@@ -101,8 +101,9 @@ def _check_format(fmt: str):
         raise UnsupportedFormat(f"format must be json, csv, or table, got {fmt!r}")
 
 
-def _torsion_str(torsion) -> str:
-    return ";".join(str(t) for t in torsion) if torsion else ""
+def _cells(h, prefix="") -> dict:
+    """The betti and torsion cells of a report row, from anything with both."""
+    return {prefix + "betti": h.betti, prefix + "torsion": ";".join(str(t) for t in h.torsion)}
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +173,9 @@ def _chain_rows(space, module, n_max, l_max, fld):
             cx = magnitude_complex_with_coefficients(space, module, g, n_max)
         for n in range(n_max + 1):
             if fld is None:
-                h = cx.homology(n)
-                rows.append(
-                    {
-                        "n": n,
-                        "l": format_dist(g),
-                        "betti": h.betti,
-                        "torsion": _torsion_str(h.torsion),
-                    }
-                )
+                rows.append({"n": n, "l": format_dist(g), **_cells(cx.homology(n))})
             else:
-                rows.append(
-                    {
-                        "n": n,
-                        "l": format_dist(g),
-                        "dim": cx.homology_dim_over(n, fld),
-                    }
-                )
+                rows.append({"n": n, "l": format_dist(g), "dim": cx.homology_dim_over(n, fld)})
     return rows
 
 
@@ -212,14 +199,7 @@ def cmd_tor(space, module, job):
     for g in grades:
         for n in range(job.n_max + 1):
             h = tor_bidegree(space, mod, n, g, resolution=res)
-            rows.append(
-                {
-                    "n": n,
-                    "l": format_dist(g),
-                    "betti": h.betti,
-                    "torsion": _torsion_str(h.torsion),
-                }
-            )
+            rows.append({"n": n, "l": format_dist(g), **_cells(h)})
     return 0, {
         "kind": "tor",
         "field": "Z",
@@ -264,10 +244,8 @@ def cmd_crosscheck(space, module, job):
                 {
                     "n": n,
                     "l": format_dist(g),
-                    "chain_betti": chain_h.betti,
-                    "chain_torsion": _torsion_str(chain_h.torsion),
-                    "tor_betti": tor_h.betti,
-                    "tor_torsion": _torsion_str(tor_h.torsion),
+                    **_cells(chain_h, "chain_"),
+                    **_cells(tor_h, "tor_"),
                     "match": "yes" if match else "NO",
                 }
             )
@@ -289,7 +267,13 @@ def cmd_crosscheck(space, module, job):
     return (0 if mismatches == 0 else 1), report
 
 
+def _no_module(module, command):
+    if module is not None:
+        raise InvalidInput(f"{command} takes no module; pass the space or digraph alone")
+
+
 def cmd_ring(space, module, job):
+    _no_module(module, "ring")
     if job.field is INTEGERS:
         raise InvalidField("ring products are computed over a field; use --field Q or Fp:P")
     fld = job.field if job.field is not None else QQ
@@ -314,6 +298,7 @@ def cmd_ring(space, module, job):
 
 
 def cmd_relations(space, module, job, graph=None):
+    _no_module(module, "relations")
     if graph is None:
         raise MagnitudeError("relations needs a digraph input")
     rel = quiver_relations(graph)
@@ -341,14 +326,7 @@ def cmd_inv(space, module, job):
 def cmd_coinv(space, module, job):
     if module is None:
         raise MagnitudeError("coinv needs a module input")
-    rows = [
-        {
-            "grade": format_dist(b.grade),
-            "betti": b.betti,
-            "torsion": _torsion_str(b.torsion),
-        }
-        for b in coinvariants(module)
-    ]
+    rows = [{"grade": format_dist(b.grade), **_cells(b)} for b in coinvariants(module)]
     return 0, {"kind": "coinv", "columns": ["grade", "betti", "torsion"], "rows": rows}
 
 

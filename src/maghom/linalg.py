@@ -232,7 +232,8 @@ class SparseMatrix:
         if not blocks:
             return SparseMatrix(0, 0)
         rows = blocks[0].rows
-        assert all(b.rows == rows for b in blocks)
+        if any(b.rows != rows for b in blocks):
+            raise ValueError(f"hstack blocks have {[b.rows for b in blocks]} rows, not all equal")
         out = SparseMatrix(rows, sum(b.cols for b in blocks))
         c0 = 0
         for b in blocks:

@@ -8,7 +8,8 @@ entry, the left-sided version never deletes the first.
 
 Each degree also carries a free-module decomposition: the generator for an
 (n+1)-tuple a = (x_0..x_n) is the basis tuple with the kept end doubled, and
-the differential written on generators has coefficients in the algebra.
+the differential written on generators has coefficients in the algebra; the
+differential on the full tuple basis is read off it.
 Tensoring a right module against the left resolution and Hom-ing the right
 resolution into a right module then reduce to finite integer matrices,
 giving a computation of Tor and Ext independent of the chain-complex route.
@@ -18,16 +19,10 @@ maps that the same builder assembles on the right resolution.
 
 from __future__ import annotations
 
+from .chain import BasedComplex, tuples_up_to_grade
 from .errors import ResolutionTooShort, UnvalidatedModule
-from .linalg import (
-    HomologySummary,
-    SparseMatrix,
-    check_field,
-    homology_at,
-    rank_over_field,
-)
+from .linalg import HomologySummary, SparseMatrix, check_field
 from .space import QuasimetricSpace, parse_dist
-from .chain import tuples_up_to_grade
 
 
 class BarResolution:
@@ -61,35 +56,28 @@ class BarResolution:
         self._grade_blocks = {}
         self._gen_terms = {}
 
-    # -- full tuple-basis differential ------------------------------------
-
-    def _deletion_drop(self, t, p):
-        """Grade lost, in units of 1/D, when deleting position p from tuple t."""
-        scaled = self.space.scaled
-        last = len(t) - 1
-        if p == 0:
-            return scaled[t[0]][t[1]]
-        if p == last:
-            return scaled[t[last - 1]][t[last]]
-        return scaled[t[p - 1]][t[p]] + scaled[t[p]][t[p + 1]] - scaled[t[p - 1]][t[p + 1]]
-
     def boundary(self, n: int) -> SparseMatrix:
-        """Differential on the full tuple basis, degree n -> n-1."""
-        if not 1 <= n <= self.n_max:
-            raise ResolutionTooShort(f"degree {n} outside 1..{self.n_max}")
+        """Differential on the full tuple basis, degree n -> n-1.
+
+        Read off the generator terms: a left basis tuple t is the pair
+        (t[0], t[1]) times the generator t[1:], a right one the generator
+        t[:-1] times the pair (t[-2], t[-1]).  A coefficient-1 term keeps
+        the pair; a freed pair multiplies into it when betweenness holds.
+        """
         if n in self._boundaries:
             return self._boundaries[n]
-        src = self.basis[n]
-        tgt_index = self.basis_index[n - 1]
-        mat = SparseMatrix(len(self.basis[n - 1]), len(src))
-        # face i deletes tuple position i (right side) / i+1 (left side)
-        offset = 1 if self.side == "left" else 0
-        for col, t in enumerate(src):
-            for i in range(n + 1):
-                p = i + offset
-                if self._deletion_drop(t, p) == 0:
-                    face = t[:p] + t[p + 1 :]
-                    mat.add_at(tgt_index[face], col, -1 if i % 2 else 1)
+        terms = self.gen_boundary_terms(n)
+        between = self.space.between_idx
+        left = self.side == "left"
+        gen_index, targets, row_of = self.gen_index[n], self.gens[n - 1], self.basis_index[n - 1]
+        mat = SparseMatrix(len(self.basis[n - 1]), len(self.basis[n]))
+        for col, t in enumerate(self.basis[n]):
+            x, gen = (t[0], t[1:]) if left else (t[-1], t[:-1])
+            for sign, pair, ti in terms[gen_index[gen]]:
+                if pair is not None and not (between(x, *pair) if left else between(*pair, x)):
+                    continue
+                face = (x,) + targets[ti] if left else targets[ti] + (x,)
+                mat.add_at(row_of[face], col, sign)
         self._boundaries[n] = mat
         return mat
 
@@ -183,14 +171,13 @@ def resolution_homology(res: BarResolution, n: int, grade) -> HomologySummary:
     grade = parse_dist(grade)
     if not 0 <= n <= res.n_max - 1:
         raise ResolutionTooShort(f"exactness checkable only in degrees 0..{res.n_max - 1}")
-    dim_n = len(res.basis_at_grade(n, grade))
-    d_n = (
-        res.boundary_at_grade(n, grade)
-        if n >= 1
-        else SparseMatrix(0, dim_n)
+    cx = BasedComplex(
+        res.n_max - 1,
+        lambda k: res.basis_at_grade(k, grade),
+        lambda k, src, tgt: res.boundary_at_grade(k, grade),
+        grade=grade,
     )
-    d_np1 = res.boundary_at_grade(n + 1, grade)
-    return homology_at(d_n, d_np1, dim_n, n=n, grade=grade)
+    return cx.homology(n)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +185,9 @@ def resolution_homology(res: BarResolution, n: int, grade) -> HomologySummary:
 
 
 def _components(res, module, k, grade):
-    """(gen_index, h, rank) for every degree-k generator a whose module end
-    carries a nonzero component of grade h, in generator order.
+    """Basis (gen_index, h, j) of the module complex in degree k at one
+    grade: the j-th basis vector of every degree-k generator a's module end
+    in grade h, in generator order.
 
     A left resolution (Tor, M tensor P) meets the head M(a[0]) in grade
     h = grade - |a|, a right one (Ext, Hom(P, M)) the tail M(a[-1]) in grade
@@ -211,20 +199,15 @@ def _components(res, module, k, grade):
     for h in module.grades():
         ranks = [module.rank_at(x, h) for x in range(len(module.space))]
         for gi in groups.get(grade + sign * h, ()):
-            r = ranks[gens[gi][end]]
-            if r:
-                found.append((gi, h, r))
+            for j in range(ranks[gens[gi][end]]):
+                found.append((gi, h, j))
     found.sort()
     return found
 
 
-def _module_basis(res, module, k, grade):
-    """Basis (gen_index, j) of the module complex in one degree and grade."""
-    return [(gi, j) for gi, _, r in _components(res, module, k, grade) for j in range(r)]
-
-
-def _module_matrix(res, module, k, grade):
-    """The module complex's map from degree k to k-1 at one grade.
+def _module_matrix(res, module, k, src, tgt):
+    """The module complex's map from degree k to k-1, on its degree-k and
+    degree-(k-1) bases at one grade.
 
     On a left resolution this is d_k of M tensor P; on a right one it is the
     transpose of Hom's coboundary delta_(k-1), which has the same rank over
@@ -232,41 +215,33 @@ def _module_matrix(res, module, k, grade):
     forward out of the source generator's component, on the right back from
     the target generator's component through the transposed action."""
     left = res.side == "left"
-    tgt = {}  # gen index -> (first row, component grade)
-    rows = 0
-    for ti, h, r in _components(res, module, k - 1, grade):
-        tgt[ti] = (rows, h)
-        rows += r
-    src = _components(res, module, k, grade)
+    first = {ti: (row, h) for row, (ti, h, j) in enumerate(tgt) if j == 0}
     terms = res.gen_boundary_terms(k)
     actions = {}
-    mat = SparseMatrix(rows, sum(r for _, _, r in src))
-    col = 0
-    for gi, h, r in src:
-        for j in range(r):
-            for sign, pair, ti in terms[gi]:
-                target = tgt.get(ti)
-                if target is None:
-                    continue
-                first, th = target
-                if pair is None:
-                    mat.add_at(first + j, col, sign)
-                    continue
-                at = h if left else th
-                action = actions.get((pair, at))
-                if action is None:
-                    action = actions[pair, at] = module.action_matrix(pair[0], pair[1], at)
-                coeffs = [row[j] for row in action] if left else action[j]
-                for i, v in enumerate(coeffs):
-                    if v:
-                        mat.add_at(first + i, col, sign * v)
-            col += 1
+    mat = SparseMatrix(len(tgt), len(src))
+    for col, (gi, h, j) in enumerate(src):
+        for sign, pair, ti in terms[gi]:
+            target = first.get(ti)
+            if target is None:
+                continue
+            row, th = target
+            if pair is None:
+                mat.add_at(row + j, col, sign)
+                continue
+            at = h if left else th
+            action = actions.get((pair, at))
+            if action is None:
+                action = actions[pair, at] = module.action_matrix(pair[0], pair[1], at)
+            coeffs = [r[j] for r in action] if left else action[j]
+            for i, v in enumerate(coeffs):
+                if v:
+                    mat.add_at(row + i, col, sign * v)
     return mat
 
 
-def _module_maps(space, module, n, grade, resolution, side):
-    """(dim_n, d_n, d_(n+1)) of the module complex at bidegree (n, grade),
-    on the given resolution or a default one on `side`; d_0 is zero."""
+def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
+    """The module complex at one grade over the given resolution, or a
+    default one on `side`, checked to reach homological degree n."""
     if not module.validated:
         raise UnvalidatedModule("run validate_module first")
     # the deepest tuple grade a query touches: grade - h on the left, grade + h on the right
@@ -282,14 +257,12 @@ def _module_maps(space, module, n, grade, resolution, side):
             f"homological degree {n} outside 0..{resolution.n_max - 1} of the resolution"
         )
     resolution.check_grade_fit(needed)
-    dim_n = len(_module_basis(resolution, module, n, grade))
-    d_n = (
-        _module_matrix(resolution, module, n, grade)
-        if n >= 1
-        else SparseMatrix(0, dim_n)
+    return BasedComplex(
+        resolution.n_max - 1,
+        lambda k: _components(resolution, module, k, grade),
+        lambda k, src, tgt: _module_matrix(resolution, module, k, src, tgt),
+        grade=grade,
     )
-    d_np1 = _module_matrix(resolution, module, n + 1, grade)
-    return dim_n, d_n, d_np1
 
 
 def tor_bidegree(space, module, n: int, grade, resolution: BarResolution | None = None) -> HomologySummary:
@@ -299,8 +272,7 @@ def tor_bidegree(space, module, n: int, grade, resolution: BarResolution | None 
     decomposition; betti and torsion come from exact integer elimination.
     """
     grade = parse_dist(grade)
-    dim_n, d_n, d_np1 = _module_maps(space, module, n, grade, resolution, "left")
-    return homology_at(d_n, d_np1, dim_n, n=n, grade=grade)
+    return _module_complex(space, module, n, grade, resolution, "left").homology(n)
 
 
 def ext_bidegree(space, module, n: int, grade, fld, resolution: BarResolution | None = None) -> int:
@@ -311,5 +283,4 @@ def ext_bidegree(space, module, n: int, grade, fld, resolution: BarResolution | 
     """
     check_field(fld)
     grade = parse_dist(grade)
-    dim_n, d_n, d_np1 = _module_maps(space, module, n, grade, resolution, "right")
-    return dim_n - rank_over_field(d_n, fld) - rank_over_field(d_np1, fld)
+    return _module_complex(space, module, n, grade, resolution, "right").homology_dim_over(n, fld)

@@ -89,8 +89,8 @@ def cochain_vector(c: Cochain, basis):
 def coboundary_of(c: Cochain) -> Cochain:
     """delta of a cochain, computed against the dual basis matrices."""
     cx = magnitude_cochain_complex(c.space, c.grade, c.n, c.fld)
-    basis_n = cx.bases[c.n]
-    basis_np1 = cx.bases[c.n + 1]
+    basis_n = cx.basis(c.n)
+    basis_np1 = cx.basis(c.n + 1)
     vec = cochain_vector(c, basis_n)
     mat = cx.coboundary(c.n)
     out = {}
@@ -126,9 +126,9 @@ def cohomology_classes(space, n, grade, fld) -> CohomologyClassSet:
     check_field(fld)
     grade = parse_dist(grade)
     cx = magnitude_cochain_complex(space, grade, n, fld)
-    basis_n = cx.bases[n]
+    basis_n = cx.basis(n)
     kernel = kernel_basis_over_field(cx.coboundary(n), fld)
-    cob_cols = sparse_columns(cx.coboundary(n - 1), fld) if n >= 1 else []
+    cob_cols = sparse_columns(cx.coboundary(n - 1), fld)
     span = FieldColumnSpan(fld)
     for col in cob_cols:
         span.add(col)
@@ -192,9 +192,10 @@ def yoneda_lift(resolution: BarResolution, phi: Cochain, k: int) -> YonedaLift:
     """Lift phi (degree n, grade l) to a map from resolution degree n+k to k.
 
     A basis tuple splits as front = first k+2 entries, back = last n+1;
-    the image is phi(back) times the front tuple, which lives k+... one
-    grade step l below the source.  A front tuple falling outside the
-    truncation with nonzero coefficient is an error, never silently dropped.
+    the image is phi(back) times the front tuple, a degree-k basis tuple
+    whose grade is the source grade minus l.  A front tuple falling outside
+    the truncation with nonzero coefficient is an error, never silently
+    dropped.
     """
     if resolution.side != "left":
         raise ResolutionTooShort("lifts are built over the left resolution")
@@ -233,7 +234,8 @@ def lift_square_commutes(lift_k: YonedaLift, lift_km1: YonedaLift) -> bool:
     phi = lift_k.phi
     n, l = phi.n, phi.grade
     k = lift_k.k
-    assert lift_km1.k == k - 1 and lift_km1.resolution is res
+    if lift_km1.k != k - 1 or lift_km1.resolution is not res:
+        raise ValueError("lift_km1 must be the lift one degree lower, on the same resolution")
     p = phi.fld.p if isinstance(phi.fld, PrimeField) else None
     for g in res.degree_grades(n + k):
         left = _grade_matmul(res.boundary_at_grade(k, g - l), lift_k.matrices[g])
@@ -325,7 +327,7 @@ class RingTable:
     products: list  # (lhs=(n,grade,i), rhs=(m,grade,j), result=[(coeff, index), ...])
 
 
-def ring_table(space, n_max: int, l_max, fld, grades=None) -> RingTable:
+def ring_table(space, n_max: int, l_max, fld) -> RingTable:
     """Products of all basis classes whose target stays inside the box.
 
     Each product is expanded in the representative basis of the target
@@ -336,8 +338,7 @@ def ring_table(space, n_max: int, l_max, fld, grades=None) -> RingTable:
 
     check_field(fld)
     l_max = parse_dist(l_max)
-    if grades is None:
-        grades = attainable_grades(space, l_max)
+    grades = attainable_grades(space, l_max)
     built = {
         (n, g): cohomology_classes(space, n, g, fld) for g in grades for n in range(n_max + 1)
     }

@@ -244,3 +244,26 @@ def full_scan_ext_space(res, module, k, grade):
         for gi, a in enumerate(res.gens[k])
         for j in range(module.rank_at(a[-1], res.gen_grade[k][gi] - grade))
     ]
+
+
+def positional_bar_boundary(res, n):
+    """{(row, col): value} of a bar resolution's d_n on its tuple basis, by
+    positional deletion: face i deletes position i + 1 on the left (never the
+    first point) or position i on the right (never the last), with sign
+    (-1)^i, whenever the deletion keeps the tuple's grade."""
+    space = res.space
+
+    def grade(t):
+        return sum((space.d(a, b) for a, b in zip(t, t[1:])), Fraction(0))
+
+    rows = {t: r for r, t in enumerate(res.basis[n - 1])}
+    shift = 1 if res.side == "left" else 0
+    out = {}
+    for col, t in enumerate(res.basis[n]):
+        for i in range(n + 1):
+            p = i + shift
+            face = t[:p] + t[p + 1 :]
+            if grade(face) == grade(t):
+                key = (rows[face], col)
+                out[key] = out.get(key, 0) + (-1 if i % 2 else 1)
+    return {key: v for key, v in out.items() if v}

@@ -53,6 +53,13 @@ def test_enumerate_matches_oracle_on_random_spaces():
                 assert enumerate_tuples(s, n, g) == exhaustive_tuples(s, n, g)
 
 
+def test_negative_degrees_are_empty():
+    s = c3()
+    assert enumerate_tuples(s, -1, 0) == []
+    assert enumerate_tuples(s, -2, 1, normalized=False) == []
+    assert tuples_up_to_grade(s, -1, 1) == []
+
+
 def test_short_circuit_above_grade_over_min_step():
     s = k2()
     assert enumerate_tuples(s, 4, 2) == []
@@ -194,6 +201,27 @@ def test_coboundaries_are_reduced_transposed_boundaries():
 def test_cochain_rejects_non_field():
     with pytest.raises(InvalidField):
         magnitude_cochain_complex(k2(), 1, 2, "Z")
+
+
+def test_field_ranks_are_taken_once_per_degree(monkeypatch):
+    import maghom.chain as chain
+
+    rank = chain.rank_over_field
+    calls = []
+
+    def counted(matrix, fld):
+        calls.append(fld)
+        return rank(matrix, fld)
+
+    monkeypatch.setattr(chain, "rank_over_field", counted)
+    cx = magnitude_complex(c3(), 2, 3)
+    for fld in (QQ, PrimeField(2)):
+        dims = [cx.homology_dim_over(n, fld) for n in range(cx.n_max + 1)]
+        assert dims == [
+            cx.dim(n) - rank(cx.boundary(n), fld) - rank(cx.boundary(n + 1), fld)
+            for n in range(cx.n_max + 1)
+        ]
+        assert calls.count(fld) == cx.n_max + 2
 
 
 def test_euler_characteristic_per_grade():

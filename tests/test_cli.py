@@ -257,6 +257,23 @@ def test_relations_report(capsys, c3_file):
     assert [["a", "b", "c", "a"], ["b", "c", "a", "b"], ["c", "a", "b", "c"]] == report["R2"]
 
 
+def test_ring_and_relations_reject_a_module(capsys, tmp_path, c3_file):
+    from maghom.distmod import trivial_module
+
+    _, space, _ = mio.load_input(c3_file)
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps(mio.dump_module(trivial_module(space, 0, 1))))
+    for argv in (
+        ("ring", str(mod), "--field", "Q"),
+        ("ring", c3_file, "--field", "Q", "--coefficients", str(mod)),
+        ("relations", str(mod)),
+        ("relations", c3_file, "--coefficients", str(mod)),
+    ):
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 1, argv
+        assert json.loads(out)["error"] == "InvalidInput", argv
+
+
 def test_ring_table_json_schema(capsys, k2_file):
     code, out = run(capsys, "ring", k2_file, "--nmax", "2", "--lmax", "2", "--field", "Q", "--format", "json")
     assert code == 0

@@ -339,6 +339,11 @@ def test_block_helpers():
     assert h.rows == 2 and h.cols == 2 and h[(1, 1)] == 5
 
 
+def test_hstack_rejects_unequal_row_counts():
+    with pytest.raises(ValueError):
+        SparseMatrix.hstack([M([[1], [0]]), M([[0], [5], [7]])])
+
+
 def test_matmul_and_transpose():
     a = M([[1, 2], [3, 4]])
     b = M([[0, 1], [1, 0]])

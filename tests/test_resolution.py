@@ -9,7 +9,7 @@ from maghom.gen import random_module
 from maghom.instances import c3, k2, x2
 from maghom.linalg import QQ, PrimeField
 from maghom.resolution import (
-    _module_basis,
+    _components,
     bar_resolution,
     ext_bidegree,
     resolution_homology,
@@ -17,7 +17,12 @@ from maghom.resolution import (
 )
 from maghom.space import INF
 
-from oracles import exhaustive_tuples_up_to, full_scan_ext_space, full_scan_tor_space
+from oracles import (
+    exhaustive_tuples_up_to,
+    full_scan_ext_space,
+    full_scan_tor_space,
+    positional_bar_boundary,
+)
 
 
 def test_right_degree_zero_basis_x2():
@@ -118,6 +123,41 @@ def test_boundaries_square_to_zero(suite):
             res = bar_resolution(space, side, 3, 3)
             for n in range(2, 4):
                 assert res.boundary(n - 1).matmul(res.boundary(n)).is_zero()
+
+
+def test_tuple_differential_matches_positional_deletions():
+    # the differential is read off the generator terms; the oracle deletes
+    # tuple positions directly.  19 and 37 have unreachable pairs, 37 also
+    # half-unit distances
+    from maghom.gen import random_space
+
+    for space in (c3(), x2(), random_space(3, 19), random_space(4, 37)):
+        for side in ("left", "right"):
+            res = bar_resolution(space, side, 3, 3)
+            for n in range(1, 4):
+                mat = res.boundary(n)
+                assert (mat.rows, mat.cols) == (len(res.basis[n - 1]), len(res.basis[n]))
+                assert mat.entries == positional_bar_boundary(res, n), (side, n)
+
+
+def test_one_bidegree_lists_each_degree_once(monkeypatch):
+    import maghom.resolution as resolution
+
+    degrees = []
+    components = resolution._components
+
+    def counted(res, module, k, grade):
+        degrees.append(k)
+        return components(res, module, k, grade)
+
+    monkeypatch.setattr(resolution, "_components", counted)
+    space = c3()
+    module = trivial_module(space, 0, 1)
+    tor_bidegree(space, module, 1, 2, resolution=bar_resolution(space, "left", 3, 2))
+    assert sorted(degrees) == [0, 1, 2]
+    degrees.clear()
+    ext_bidegree(space, module, 1, 2, QQ, resolution=bar_resolution(space, "right", 3, 2))
+    assert sorted(degrees) == [0, 1, 2]
 
 
 def test_differential_preserves_grade():
@@ -457,9 +497,9 @@ def test_grouped_spaces_equal_full_scan():
             )
             for k in range(4):
                 for g in grades:
-                    tor = _module_basis(left, module, k, g)
+                    tor = [(gi, j) for gi, _, j in _components(left, module, k, g)]
                     assert tor == full_scan_tor_space(left, module, k, g)
-                    ext = _module_basis(right, module, k, g)
+                    ext = [(gi, j) for gi, _, j in _components(right, module, k, g)]
                     assert ext == full_scan_ext_space(right, module, k, g)
 
 

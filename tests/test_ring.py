@@ -206,6 +206,23 @@ def test_lift_requires_long_enough_resolution():
         yoneda_lift(res, phi, 2)
 
 
+def test_lift_square_rejects_unmatched_lift_pairs():
+    s = k2()
+    res = bar_resolution(s, "left", 3, 3)
+    phi = cohomology_classes(s, 1, 1, QQ).representatives[0]
+    lift_1, lift_0 = yoneda_lift(res, phi, 1), yoneda_lift(res, phi, 0)
+    assert lift_square_commutes(lift_1, lift_0)
+    with pytest.raises(ValueError):
+        lift_square_commutes(lift_1, lift_1)
+    with pytest.raises(ValueError):
+        lift_square_commutes(lift_1, yoneda_lift(bar_resolution(s, "left", 3, 3), phi, 0))
+
+
+def test_negative_degree_has_no_classes():
+    cs = cohomology_classes(c3(), -1, 0, QQ)
+    assert cs.basis_tuples == [] and cs.dim() == 0 and cs.coboundary_columns == []
+
+
 def test_yoneda_product_equals_cup_k2():
     s = k2()
     res = bar_resolution(s, "left", 2, 2)
