@@ -227,6 +227,8 @@ def cmd_ext(space, module, job):
 
 
 def cmd_crosscheck(space, module, job):
+    if job.field not in (None, INTEGERS):
+        raise InvalidField("crosscheck compares integral betti and torsion; use --field Z")
     mod, res, grades = _resolved(space, module, job, "left")
     rows = []
     mismatches = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnknownPoint, UnvalidatedModule
+from .errors import InvalidInput, UnknownPoint, UnvalidatedModule
 from .linalg import QQ, SparseMatrix, integer_kernel_basis, rank_over_field, snf
 from .space import INF, QuasimetricSpace, parse_dist
 
@@ -33,6 +33,13 @@ def _mat_mul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
         for i in range(rows)
     )
+
+
+def _finite_grade(g):
+    g = parse_dist(g)
+    if g is INF:
+        raise InvalidInput("module grades must be finite")
+    return g
 
 
 def _is_zero_mat(a):
@@ -60,7 +67,7 @@ class DistanceModule:
         comps = []
         for i in range(len(space)):
             raw = components.get(i, {}) if isinstance(components, dict) else components[i]
-            comps.append({parse_dist(g): r for g, r in raw.items() if r})
+            comps.append({_finite_grade(g): r for g, r in raw.items() if r})
         self.components = tuple(comps)
         acts = {}
         for (i, j), per_grade in actions.items():
@@ -68,7 +75,7 @@ class DistanceModule:
             for g, mat in per_grade.items():
                 mat = tuple(tuple(int(v) for v in row) for row in mat)
                 if not _is_zero_mat(mat):
-                    kept[parse_dist(g)] = mat
+                    kept[_finite_grade(g)] = mat
             if kept:
                 acts[(i, j)] = kept
         self.actions = acts
@@ -159,14 +166,14 @@ def validate_module(space: QuasimetricSpace, module: DistanceModule):
         for g, mat in per_grade.items():
             src = module.rank_at(i, g)
             dst = module.rank_at(j, g + d)
-            rows = len(mat)
-            cols = len(mat[0]) if rows else 0
-            if rows != dst or (rows and cols != src) or (not rows and src and dst):
+            widths = {len(row) for row in mat}
+            if len(mat) != dst or widths - {src}:
+                cols = "/".join(map(str, sorted(widths))) or "0"
                 violations.append(
                     ModuleViolation(
                         "ShapeMismatch",
                         (space.points[i], space.points[j], g),
-                        f"matrix is {rows}x{cols}, expected {dst}x{src}",
+                        f"matrix is {len(mat)}x{cols}, expected {dst}x{src}",
                     )
                 )
     if violations:

@@ -9,7 +9,7 @@ entry, the left-sided version never deletes the first.
 Each degree also carries a free-module decomposition: the generator for an
 (n+1)-tuple a = (x_0..x_n) is the basis tuple with the kept end doubled, and
 the differential written on generators has coefficients in the algebra; the
-differential on the full tuple basis is read off it.
+differential on the tuple basis, one complex per grade, is read off it.
 Tensoring a right module against the left resolution and Hom-ing the right
 resolution into a right module then reduce to finite integer matrices,
 giving a computation of Tor and Ext independent of the chain-complex route.
@@ -36,55 +36,59 @@ class BarResolution:
         self.n_max = n_max
         self.l_max = parse_dist(l_max)
         # one walk list per arity k = 0..n_max+1: (k+1)-tuples of total
-        # grade <= l_max, their grades, index, and grade -> indices groups in
-        # tuple order.  Degree n is free on the (n+1)-tuples (kept end
-        # doubled) and has the (n+2)-tuples as its full basis, so generators
-        # read arities 0..n_max and the basis reads 1..n_max+1.
-        tuples, grades, index, self._groups = [], [], [], []
+        # grade <= l_max and their grade -> indices groups in tuple order.
+        # Degree n is free on the (n+1)-tuples (kept end doubled) and has the
+        # (n+2)-tuples as its full basis, so generators read arities
+        # 0..n_max and the basis reads 1..n_max+1.
+        tuples, self._groups = [], []
         for k in range(n_max + 2):
             pairs = tuples_up_to_grade(space, k, self.l_max, normalized=False)
             groups = {}
             for i, (_, g) in enumerate(pairs):
                 groups.setdefault(g, []).append(i)
             tuples.append([t for t, _ in pairs])
-            grades.append([g for _, g in pairs])
-            index.append({t: i for i, (t, _) in enumerate(pairs)})
             self._groups.append(groups)
-        self.gens, self.gen_grade, self.gen_index = tuples[:-1], grades[:-1], index[:-1]
-        self.basis, self.basis_grade, self.basis_index = tuples[1:], grades[1:], index[1:]
-        self._boundaries = {}
-        self._grade_blocks = {}
+        self.gens, self.basis = tuples[:-1], tuples[1:]
+        self.gen_index = [{t: i for i, t in enumerate(ts)} for ts in self.gens]
+        self._complexes = {}
         self._gen_terms = {}
 
+    def _check_degree(self, n: int, low: int):
+        if not low <= n <= self.n_max:
+            raise ResolutionTooShort(f"degree {n} outside {low}..{self.n_max}")
+
     def boundary(self, n: int) -> SparseMatrix:
-        """Differential on the full tuple basis, degree n -> n-1.
+        """Differential on the full tuple basis, degree n -> n-1, built afresh."""
+        self._check_degree(n, 1)
+        return self._tuple_boundary(n, self.basis[n], self.basis[n - 1])
+
+    def _tuple_boundary(self, n: int, src, tgt) -> SparseMatrix:
+        """d_n from the degree-n basis tuples src to the degree-(n-1) ones tgt;
+        tgt must hold every face of src (a grade block holds its own).
 
         Read off the generator terms: a left basis tuple t is the pair
         (t[0], t[1]) times the generator t[1:], a right one the generator
         t[:-1] times the pair (t[-2], t[-1]).  A coefficient-1 term keeps
         the pair; a freed pair multiplies into it when betweenness holds.
         """
-        if n in self._boundaries:
-            return self._boundaries[n]
         terms = self.gen_boundary_terms(n)
         between = self.space.between_idx
         left = self.side == "left"
-        gen_index, targets, row_of = self.gen_index[n], self.gens[n - 1], self.basis_index[n - 1]
-        mat = SparseMatrix(len(self.basis[n - 1]), len(self.basis[n]))
-        for col, t in enumerate(self.basis[n]):
+        gen_index, targets = self.gen_index[n], self.gens[n - 1]
+        row_of = {t: r for r, t in enumerate(tgt)}
+        mat = SparseMatrix(len(tgt), len(src))
+        for col, t in enumerate(src):
             x, gen = (t[0], t[1:]) if left else (t[-1], t[:-1])
             for sign, pair, ti in terms[gen_index[gen]]:
                 if pair is not None and not (between(x, *pair) if left else between(*pair, x)):
                     continue
                 face = (x,) + targets[ti] if left else targets[ti] + (x,)
                 mat.add_at(row_of[face], col, sign)
-        self._boundaries[n] = mat
         return mat
 
     def _basis_groups(self, n: int):
         """grade -> indices of the degree-n basis tuples of that grade."""
-        if not 0 <= n <= self.n_max:
-            raise ResolutionTooShort(f"degree {n} outside 0..{self.n_max}")
+        self._check_degree(n, 0)
         return self._groups[n + 1]
 
     def degree_grades(self, n: int):
@@ -94,23 +98,22 @@ class BarResolution:
         """Indices of degree-n basis tuples of exactly this grade (a fresh list)."""
         return list(self._basis_groups(n).get(parse_dist(grade), ()))
 
-    def boundary_at_grade(self, n: int, grade) -> SparseMatrix:
-        """Per-grade block of the differential (deletions preserve grade)."""
+    def complex_at(self, grade) -> BasedComplex:
+        """The resolution's tuple complex at one grade, built lazily per degree.
+
+        Degree n holds the degree-n basis tuples of that grade in tuple
+        order, n = 0..n_max; deletions keep the grade, so d_n is the tuple
+        differential between consecutive degrees' lists.
+        """
         grade = parse_dist(grade)
-        key = (n, grade)
-        if key in self._grade_blocks:
-            return self._grade_blocks[key]
-        full = self.boundary(n)
-        src = self.basis_at_grade(n, grade)
-        tgt = self.basis_at_grade(n - 1, grade)
-        src_pos = {k: c for c, k in enumerate(src)}
-        tgt_pos = {k: r for r, k in enumerate(tgt)}
-        mat = SparseMatrix(len(tgt), len(src))
-        for (r, c), v in full.entries.items():
-            if c in src_pos and r in tgt_pos:
-                mat.entries[(tgt_pos[r], src_pos[c])] = v
-        self._grade_blocks[key] = mat
-        return mat
+        if grade not in self._complexes:
+            self._complexes[grade] = BasedComplex(
+                self.n_max - 1,
+                lambda n: [self.basis[n][i] for i in self._basis_groups(n).get(grade, ())],
+                self._tuple_boundary,
+                grade=grade,
+            )
+        return self._complexes[grade]
 
     # -- free-generator differential ---------------------------------------
 
@@ -121,8 +124,7 @@ class BarResolution:
         coefficient-1 term, or the algebra pair picked up by the deletion
         next to the kept end (acting on the module side after translation).
         """
-        if not 1 <= n <= self.n_max:
-            raise ResolutionTooShort(f"degree {n} outside 1..{self.n_max}")
+        self._check_degree(n, 1)
         if n in self._gen_terms:
             return self._gen_terms[n]
         between = self.space.between_idx
@@ -168,16 +170,9 @@ def resolution_homology(res: BarResolution, n: int, grade) -> HomologySummary:
     Must vanish in degrees 1..n_max-1 and equal the grade-0 quotient at
     degree 0 (rank = number of points at grade 0, nothing elsewhere).
     """
-    grade = parse_dist(grade)
     if not 0 <= n <= res.n_max - 1:
         raise ResolutionTooShort(f"exactness checkable only in degrees 0..{res.n_max - 1}")
-    cx = BasedComplex(
-        res.n_max - 1,
-        lambda k: res.basis_at_grade(k, grade),
-        lambda k, src, tgt: res.boundary_at_grade(k, grade),
-        grade=grade,
-    )
-    return cx.homology(n)
+    return res.complex_at(grade).homology(n)
 
 
 # ---------------------------------------------------------------------------

@@ -207,12 +207,11 @@ def yoneda_lift(resolution: BarResolution, phi: Cochain, k: int) -> YonedaLift:
     matrices = {}
     fld = phi.fld
     for g in resolution.degree_grades(n + k):
-        src = resolution.basis_at_grade(n + k, g)
-        tgt = resolution.basis_at_grade(k, g - l)
-        tgt_pos = {resolution.basis[k][i]: r for r, i in enumerate(tgt)}
+        src = resolution.complex_at(g).basis(n + k)
+        tgt = resolution.complex_at(g - l).basis(k)
+        tgt_pos = {t: r for r, t in enumerate(tgt)}
         mat = SparseMatrix(len(tgt), len(src))
-        for col, idx in enumerate(src):
-            t = resolution.basis[n + k][idx]
+        for col, t in enumerate(src):
             back = t[k + 1 :]
             val = phi.coeffs.get(back)
             if val is None:
@@ -238,21 +237,16 @@ def lift_square_commutes(lift_k: YonedaLift, lift_km1: YonedaLift) -> bool:
         raise ValueError("lift_km1 must be the lift one degree lower, on the same resolution")
     p = phi.fld.p if isinstance(phi.fld, PrimeField) else None
     for g in res.degree_grades(n + k):
-        left = _grade_matmul(res.boundary_at_grade(k, g - l), lift_k.matrices[g])
-        right = _grade_matmul(lift_km1.matrices.get(g, SparseMatrix(0, 0)), res.boundary_at_grade(n + k, g))
+        src, tgt = res.complex_at(g), res.complex_at(g - l)
+        # the lower lift has no matrix at a grade its source degree lacks
+        lower = lift_km1.matrices.get(g, SparseMatrix(tgt.dim(k - 1), src.dim(n + k - 1)))
+        left = tgt.boundary(k).matmul(lift_k.matrices[g])
+        right = lower.matmul(src.boundary(n + k))
         if p is not None:
             left, right = left.reduce_mod(p), right.reduce_mod(p)
-        # compare as maps: grades with an empty side only ever carry zero
         if left.entries != right.entries:
             return False
     return True
-
-
-def _grade_matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    if a.cols != b.rows:
-        # a truncated grade with no basis on one side: the composite is zero
-        return SparseMatrix(a.rows, b.cols)
-    return a.matmul(b)
 
 
 def _assert_cocycle(c: Cochain):
@@ -288,10 +282,9 @@ def yoneda_product(psi: Cochain, phi: Cochain, resolution: BarResolution | None 
     if lift_mat is None:
         return Cochain(space, n + m, total_grade, fld, {})
     # augmentation matrix of psi: rows are points, columns P_m at grade s
-    tgt_idx = resolution.basis_at_grade(m, s)
-    aug = SparseMatrix(len(space), len(tgt_idx))
-    for c, idx in enumerate(tgt_idx):
-        t = resolution.basis[m][idx]
+    tgt = resolution.complex_at(s).basis(m)
+    aug = SparseMatrix(len(space), len(tgt))
+    for c, t in enumerate(tgt):
         if t[0] != t[1]:
             continue
         val = psi.coeffs.get(t[1:])
@@ -301,8 +294,8 @@ def yoneda_product(psi: Cochain, phi: Cochain, resolution: BarResolution | None 
     if isinstance(fld, PrimeField):
         composite = composite.reduce_mod(fld.p)
     # read off values on doubled-head generators of normalized tuples
-    src = resolution.basis_at_grade(n + m, total_grade)
-    col_of = {resolution.basis[n + m][idx]: c for c, idx in enumerate(src)}
+    src = resolution.complex_at(total_grade).basis(n + m)
+    col_of = {t: c for c, t in enumerate(src)}
     coeffs = {}
     for w in enumerate_tuples(space, n + m, total_grade, normalized=True):
         generator = (w[0],) + w

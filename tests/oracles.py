@@ -226,13 +226,18 @@ def all_paths_up_to(vertices, arcs, max_len):
     return out
 
 
+def walk_grade(space, t):
+    """Sum of the consecutive distances of a tuple with finite steps."""
+    return sum((space.d(a, b) for a, b in zip(t, t[1:])), Fraction(0))
+
+
 def full_scan_tor_space(res, module, k, grade):
     """(gen_index, j) over every degree-k generator a in order: the head
     component M(a[0]) in grade (grade - |a|)."""
     return [
         (gi, j)
         for gi, a in enumerate(res.gens[k])
-        for j in range(module.rank_at(a[0], grade - res.gen_grade[k][gi]))
+        for j in range(module.rank_at(a[0], grade - walk_grade(res.space, a)))
     ]
 
 
@@ -242,7 +247,7 @@ def full_scan_ext_space(res, module, k, grade):
     return [
         (gi, j)
         for gi, a in enumerate(res.gens[k])
-        for j in range(module.rank_at(a[-1], res.gen_grade[k][gi] - grade))
+        for j in range(module.rank_at(a[-1], walk_grade(res.space, a) - grade))
     ]
 
 
@@ -251,11 +256,6 @@ def positional_bar_boundary(res, n):
     positional deletion: face i deletes position i + 1 on the left (never the
     first point) or position i on the right (never the last), with sign
     (-1)^i, whenever the deletion keeps the tuple's grade."""
-    space = res.space
-
-    def grade(t):
-        return sum((space.d(a, b) for a, b in zip(t, t[1:])), Fraction(0))
-
     rows = {t: r for r, t in enumerate(res.basis[n - 1])}
     shift = 1 if res.side == "left" else 0
     out = {}
@@ -263,7 +263,7 @@ def positional_bar_boundary(res, n):
         for i in range(n + 1):
             p = i + shift
             face = t[:p] + t[p + 1 :]
-            if grade(face) == grade(t):
+            if walk_grade(res.space, face) == walk_grade(res.space, t):
                 key = (rows[face], col)
                 out[key] = out.get(key, 0) + (-1 if i % 2 else 1)
     return {key: v for key, v in out.items() if v}

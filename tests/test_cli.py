@@ -468,3 +468,35 @@ def test_mutated_inputs_never_raise(capsysbinary, tmp_path):
                 assert code == 1, text
                 report = cmd == "validate" and out.get("status") == "invalid"
                 assert report or set(out) == {"error", "detail"}, text
+
+
+def test_infinite_grades_and_ragged_actions_are_rejected(capsys, tmp_path):
+    # a component at grade inf, and an action matrix whose rows differ in
+    # length: each module-reading command exits 1 with a report, no traceback
+    space = {"points": ["a", "b"], "dist": [["0", "1"], ["inf", "0"]]}
+    infinite = {"space": space, "components": {"a": [["inf", 1]], "b": [["0", 1]]}, "actions": {}}
+    ragged = {
+        "space": space,
+        "components": {"a": [["0", 2]], "b": [["1", 2]]},
+        "actions": {"a->b": {"0": [[1, 0], [1]]}},
+    }
+    for name, module in (("infinite", infinite), ("ragged", ragged)):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(module))
+        for cmd in ("validate", "mh", "tor", "ext", "crosscheck", "inv", "coinv"):
+            code, out = run(capsys, cmd, str(p), "--nmax", "1", "--lmax", "1", "--format", "json")
+            assert code == 1, (name, cmd)
+            report = json.loads(out)
+            if cmd == "validate" and name == "ragged":
+                assert report["status"] == "invalid"
+                assert [r["violation"] for r in report["rows"]] == ["ShapeMismatch"]
+            else:
+                assert set(report) == {"error", "detail"}, (name, cmd)
+
+
+def test_crosscheck_is_integral_only(capsys, c3_file):
+    for field in ("Q", "Fp:2"):
+        err = _error(*run(capsys, "crosscheck", c3_file, "--field", field))
+        assert err["error"] == "InvalidField"
+    code, _ = run(capsys, "crosscheck", c3_file, "--nmax", "1", "--lmax", "1", "--field", "Z")
+    assert code == 0

@@ -13,7 +13,7 @@ from maghom.distmod import (
     trivial_module,
     validate_module,
 )
-from maghom.errors import UnknownPoint, UnvalidatedModule
+from maghom.errors import InvalidInput, UnknownPoint, UnvalidatedModule
 from maghom.gen import random_module
 from maghom.instances import c3, k2, standard_suite, x2
 
@@ -106,6 +106,24 @@ def test_validation_catches_shape_mismatch():
     )
     problems = validate_module(s, bad)
     assert problems and problems[0].kind == "ShapeMismatch"
+    # rows of unequal length: the first row alone would fit the 2x2 shape
+    ragged = DistanceModule(
+        s,
+        {0: {Fraction(0): 2}, 1: {Fraction(1): 2}},
+        {(0, 1): {Fraction(0): ((1, 0), (1,))}},
+    )
+    assert [p.kind for p in validate_module(s, ragged)] == ["ShapeMismatch"]
+    assert not ragged.validated
+
+
+def test_infinite_grades_are_rejected():
+    s = x2()
+    with pytest.raises(InvalidInput):
+        DistanceModule(s, {0: {"inf": 1}}, {})
+    with pytest.raises(InvalidInput):
+        DistanceModule(s, {0: {Fraction(0): 1}}, {(0, 1): {"inf": ((1,),)}})
+    with pytest.raises(InvalidInput):
+        shift_module(trivial_module(s, 0, 1), "inf")
 
 
 def test_shift_module_roundtrip():

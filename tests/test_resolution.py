@@ -22,6 +22,7 @@ from oracles import (
     full_scan_ext_space,
     full_scan_tor_space,
     positional_bar_boundary,
+    walk_grade,
 )
 
 
@@ -47,20 +48,19 @@ def _walk_list_cases():
 
 def test_walk_lists_match_exhaustive_oracle():
     for space, res in _walk_list_cases():
+        assert len(res.gen_index) == len(res.gens) == len(res.basis) == res.n_max + 1
         for n in range(res.n_max + 1):
-            for tuples, grades, index, arity in (
-                (res.gens, res.gen_grade, res.gen_index, n),
-                (res.basis, res.basis_grade, res.basis_index, n + 1),
-            ):
+            for tuples, arity in ((res.gens, n), (res.basis, n + 1)):
                 expected = exhaustive_tuples_up_to(space, arity, res.l_max, normalized=False)
-                assert list(zip(tuples[n], grades[n])) == expected, (res.side, n, arity)
-                assert index[n] == {t: k for k, (t, _) in enumerate(expected)}
+                got = [(t, walk_grade(space, t)) for t in tuples[n]]
+                assert got == expected, (res.side, n, arity)
+            assert res.gen_index[n] == {t: k for k, t in enumerate(res.gens[n])}
 
 
 def test_grade_lookups_match_full_scans():
     for _, res in _walk_list_cases():
         for n in range(res.n_max + 1):
-            grades = res.basis_grade[n]
+            grades = [walk_grade(res.space, t) for t in res.basis[n]]
             assert res.degree_grades(n) == sorted(set(grades))
             for g in res.degree_grades(n) + [Fraction(1, 3), Fraction(-1), INF]:
                 assert res.basis_at_grade(n, g) == [k for k, h in enumerate(grades) if h == g]
@@ -89,6 +89,9 @@ def test_degrees_outside_the_resolution_are_rejected():
             left.basis_at_grade(n, 0)
         with pytest.raises(ResolutionTooShort):
             left.degree_grades(n)
+    for n in (0, 3):
+        with pytest.raises(ResolutionTooShort):
+            left.boundary(n)
     # homological degree n reads resolution degrees n and n + 1
     for n in (-1, 2):
         with pytest.raises(ResolutionTooShort):
@@ -165,16 +168,38 @@ def test_differential_preserves_grade():
     for n in (1, 2, 3):
         mat = res.boundary(n)
         for (r, c), _ in mat.entries.items():
-            assert res.basis_grade[n - 1][r] == res.basis_grade[n][c]
+            assert walk_grade(res.space, res.basis[n - 1][r]) == walk_grade(res.space, res.basis[n][c])
 
 
 def test_grade_blocks_cover_full_matrix():
-    res = bar_resolution(c3(), "left", 3, 2)
-    full = res.boundary(2)
-    total = sum(
-        res.boundary_at_grade(2, g).nnz() for g in res.degree_grades(2)
-    )
-    assert total == full.nnz()
+    from maghom.gen import random_space
+
+    # random_space(4, 37) has half-unit distances and unreachable pairs
+    for space in (c3(), random_space(4, 37)):
+        for side in ("left", "right"):
+            res = bar_resolution(space, side, 3, 2)
+            for n in range(1, 4):
+                full = res.boundary(n)
+                total = 0
+                for g in res.degree_grades(n):
+                    cx = res.complex_at(g)
+                    cols, rows = res.basis_at_grade(n, g), res.basis_at_grade(n - 1, g)
+                    assert cx.basis(n) == [res.basis[n][c] for c in cols]
+                    assert cx.basis(n - 1) == [res.basis[n - 1][r] for r in rows]
+                    # the block is the full matrix restricted to the grade's rows and columns
+                    expected = {
+                        (i, j): full[(r, c)]
+                        for i, r in enumerate(rows)
+                        for j, c in enumerate(cols)
+                        if full[(r, c)]
+                    }
+                    block = cx.boundary(n)
+                    assert (block.rows, block.cols) == (len(rows), len(cols))
+                    assert block.entries == expected, (side, n, g)
+                    total += block.nnz()
+                assert total == full.nnz()
+    # one complex per grade, whatever form the grade is given in
+    assert res.complex_at(1) is res.complex_at("1") is res.complex_at(Fraction(1))
 
 
 def test_free_decomposition_dimension_count():
@@ -186,8 +211,8 @@ def test_free_decomposition_dimension_count():
         for g in res.degree_grades(n):
             direct = len(res.basis_at_grade(n, g))
             total = 0
-            for gi, a in enumerate(res.gens[n]):
-                shift = res.gen_grade[n][gi]
+            for a in res.gens[n]:
+                shift = walk_grade(space, a)
                 head = a[0]
                 # left row at head: dim in grade (g - shift) = reachable y at that distance
                 total += sum(
