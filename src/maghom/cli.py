@@ -38,8 +38,10 @@ class JobSpec:
     output_format: str
 
     def __post_init__(self):
-        if self.n_max < 0 or self.l_max < 0:
-            raise MagnitudeError("nmax and lmax must be nonnegative")
+        if self.n_max < 0:
+            raise InvalidInput("nmax must be nonnegative")
+        if self.l_max < 0:
+            raise InvalidInput("lmax must be nonnegative")
         if self.l_max is INF:
             raise InvalidInput("lmax must be finite")
 

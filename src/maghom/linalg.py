@@ -1,15 +1,17 @@
 """Exact sparse linear algebra: Smith normal form, ranks, kernels, homology.
 
-Everything is arbitrary-precision: integer matrices use Python ints, field
-computations use Fraction (rationals) or ints reduced mod p.  Intermediate
-coefficient growth during elimination is expected and harmless.
+Everything is arbitrary-precision.  One integer elimination on Python ints
+gives Smith forms, integer kernels and ranks over QQ (the number of its
+pivots).  Ranks over GF(p), and kernels and solves over either field, come
+from one field elimination on Fractions or on ints reduced mod p.
+Intermediate coefficient growth during elimination is expected and harmless.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidField, NotAComplex
 
@@ -87,10 +89,16 @@ class PrimeField:
         self.p = p
 
     def of(self, n):
-        return n % self.p
+        """n mod p; a Fraction a/b maps to a * b^-1 mod p."""
+        p = self.p
+        if type(n) is Fraction:
+            if n.denominator % p == 0:
+                raise InvalidField(f"{n} has no value in GF({p}): {p} divides its denominator")
+            return n.numerator * pow(n.denominator, -1, p) % p
+        return n % p
 
     def inv(self, a):
-        a %= self.p
+        a = self.of(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
@@ -508,8 +516,9 @@ class FieldColumnSpan:
     A client that needs coordinates passes each inserted vector's own
     {key: coefficient} to `_insert` (every insertion or none); each stored
     vector then carries its coordinates in the inserted vectors.  This is
-    the only field elimination loop: field ranks, kernels and solves are
-    its clients.
+    the only field elimination loop: ranks over GF(p), and kernels and
+    solves over either field, are its clients.  Ranks over QQ are not: they
+    are the pivots of the integer elimination.
     """
 
     def __init__(self, fld):
@@ -569,13 +578,34 @@ class FieldColumnSpan:
         return len(self.pivots)
 
 
-def rank_over_field(matrix: SparseMatrix, fld) -> int:
-    """Exact rank over QQ or GF(p): the sum of the connected blocks' ranks.
+def _integral_columns(matrix: SparseMatrix) -> SparseMatrix:
+    """The matrix with each column scaled by the lcm of its denominators.
 
-    Each block's columns span a space of their own, so the reduced echelon
-    form of one block never back-substitutes into another's pivots.
+    Scaling a column by a nonzero rational leaves the rank over QQ as it is.
+    A matrix of ints is returned as it is.
+    """
+    if all(type(v) is int for v in matrix.entries.values()):
+        return matrix
+    scale = {}
+    for (_, c), v in matrix.entries.items():
+        scale[c] = lcm(scale.get(c, 1), v.denominator)
+    out = SparseMatrix(matrix.rows, matrix.cols)
+    out.entries = {(r, c): int(v * scale[c]) for (r, c), v in matrix.entries.items()}
+    return out
+
+
+def rank_over_field(matrix: SparseMatrix, fld) -> int:
+    """Exact rank over QQ or GF(p).
+
+    Over QQ it is the number of pivots of the integer Smith elimination of
+    the matrix, its columns cleared of denominators first.  Over GF(p) it is
+    the sum of the connected blocks' ranks: each block's columns span a
+    space of their own, so the reduced echelon form of one block never
+    back-substitutes into another's pivots.
     """
     fld = check_field(fld)
+    if fld.p is None:
+        return len(_diagonalize(_integral_columns(matrix))[0])
     rank = 0
     for block in _blocks(matrix):
         cols = {}

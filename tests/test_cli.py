@@ -402,6 +402,13 @@ def test_argument_errors_are_structured_errors(capsys, k2_file):
         assert _error(*run(capsys, *argv))["error"] == "InvalidInput"
 
 
+def test_negative_bounds_are_invalid_input(capsys, k2_file):
+    for flag in ("nmax", "lmax"):
+        code, out = run(capsys, "mh", k2_file, f"--{flag}", "-1")
+        assert code == 1
+        assert json.loads(out) == {"error": "InvalidInput", "detail": f"{flag} must be nonnegative"}
+
+
 def test_infinite_lmax_is_rejected_before_computing(capsys, c3_file):
     # a cycle has attainable grades without bound
     err = _error(*run(capsys, "mh", c3_file, "--lmax", "inf"))

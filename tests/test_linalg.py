@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maghom.errors import InvalidField, NotAComplex
 from maghom.linalg import (
@@ -238,6 +240,86 @@ def test_torsion_merges_across_blocks():
     units = [[[1]]] * 12 + [[[1, 1], [0, 1]]] * 4 + [[[2, 1], [1, 1]]] * 3
     rows = _shuffled(units + [[[2, 4], [6, 8]]], rng, 3, 3)
     assert snf(M(rows)) == [1] * 26 + [2, 4] == dense_snf(rows)
+
+
+def test_rational_rank_clears_each_columns_denominators():
+    F = Fraction
+    rows = [
+        # block one: column 1 is 2 * column 0, column 3 is 3 * column 2
+        [F(3, 2), 3, F(1, 2), F(3, 2), 0, 0, 0, 0],
+        [1, 2, 0, 0, 0, 0, 0, 0],
+        [0, 0, F(1, 3), 1, 0, 0, 0, 0],
+        # block two: column 6 is -2 * column 5
+        [0, 0, 0, 0, 0, F(2, 3), F(-4, 3), 0],
+        [0, 0, 0, 0, 0, F(-1, 5), F(2, 5), 0],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+    ]
+    mat = M(rows)
+    assert len(_blocks(mat)) == 2
+    assert rank_over_field(mat, QQ) == dense_rank_qq(rows) == 3
+
+
+@st.composite
+def rational_block_matrices(draw):
+    """Dense rows of a shuffled block-diagonal matrix with small entries.
+
+    Entries are ints, or Fractions with denominators up to 6 unless the
+    matrix is drawn integral; zero rows and columns come from sparse blocks
+    and spare lines.
+    """
+    integral = draw(st.booleans())
+    den = st.just(1) if integral else st.integers(1, 6)
+    entry = st.one_of(st.just(0), st.builds(Fraction, st.integers(-4, 4), den))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        blocks.append([draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)])
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    rows = _shuffled(blocks, rng, draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    return [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=rational_block_matrices())
+def test_rational_rank_matches_dense_elimination(rows):
+    mat = M(rows)
+    rank = rank_over_field(mat, QQ)
+    assert rank == dense_rank_qq(rows)
+    if all(type(v) is int for row in rows for v in row):
+        assert rank == len(snf(mat))
+
+
+def test_prime_field_reduces_fractions():
+    F = Fraction
+    gf3 = PrimeField(3)
+    assert [gf3.of(v) for v in (F(1, 2), F(-1, 2), F(5, 4), F(6, 5), F(4, 2))] == [2, 1, 2, 0, 2]
+    # 1/2 is 2 in GF(3), so the rows [2, 1] and [1, 2] are dependent
+    mat = M([[F(1, 2), 1], [1, 2]])
+    assert rank_over_field(mat, gf3) == 1
+    assert kernel_basis_over_field(mat, gf3) == [[1, 1]]
+    with pytest.raises(InvalidField, match="GF\\(3\\)"):
+        gf3.of(F(1, 3))
+    with pytest.raises(InvalidField):
+        rank_over_field(M([[F(2, 9)]]), gf3)
+
+    def reduce(v):
+        return v.numerator * pow(v.denominator, -1, 3) % 3
+
+    rng = random.Random(43)
+    for _ in range(40):
+        m, n = rng.randrange(1, 5), rng.randrange(1, 6)
+        rows = [
+            [F(rng.randrange(-4, 5), rng.choice((1, 2, 4, 5))) for _ in range(n)]
+            for _ in range(m)
+        ]
+        reduced = [[reduce(v) for v in row] for row in rows]
+        mat = M(rows)
+        assert rank_over_field(mat, gf3) == len(dense_rref(reduced, 3)[1])
+        assert kernel_basis_over_field(mat, gf3) == dense_kernel_rref(reduced, n, 3)
+        cols = [list(c) for c in zip(*rows)]
+        target = [F(rng.randrange(-3, 4), rng.choice((1, 2))) for _ in range(m)]
+        expected = dense_solve([list(c) for c in zip(*reduced)], [reduce(t) for t in target], 3)
+        assert solve_in_span(cols, [target], gf3) == [expected]
 
 
 def test_kernel_basis_over_field_and_span():
