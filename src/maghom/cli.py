@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import io as mio
 from .chain import magnitude_complex, magnitude_complex_with_coefficients
 from .distmod import coinvariants, invariants, trivial_module, validate_module
-from .errors import InvalidField, InvalidInput, MagnitudeError, UnsupportedFormat
+from .errors import InvalidField, InvalidInput, MagnitudeError, SpaceMismatch, UnsupportedFormat
 from .gen import random_space
 from .linalg import QQ, PrimeField
 from .quiver import quiver_relations
@@ -304,7 +304,7 @@ def cmd_ring(space, module, job):
 def cmd_relations(space, module, job, graph=None):
     _no_module(module, "relations")
     if graph is None:
-        raise MagnitudeError("relations needs a digraph input")
+        raise InvalidInput("relations needs a digraph input")
     rel = quiver_relations(graph)
     data = mio.relations_report(rel)
     rows = [{"kind": "R1", "paths": " = ".join("-".join(p) for p in pair)} for pair in data["R1"]]
@@ -320,7 +320,7 @@ def cmd_relations(space, module, job, graph=None):
 
 def cmd_inv(space, module, job):
     if module is None:
-        raise MagnitudeError("inv needs a module input")
+        raise InvalidInput("inv needs a module input")
     rows = [
         {"grade": format_dist(b.grade), "rank": b.rank} for b in invariants(module)
     ]
@@ -329,7 +329,7 @@ def cmd_inv(space, module, job):
 
 def cmd_coinv(space, module, job):
     if module is None:
-        raise MagnitudeError("coinv needs a module input")
+        raise InvalidInput("coinv needs a module input")
     rows = [{"grade": format_dist(b.grade), **_cells(b)} for b in coinvariants(module)]
     return 0, {"kind": "coinv", "columns": ["grade", "betti", "torsion"], "rows": rows}
 
@@ -393,15 +393,15 @@ def main(argv=None) -> int:
         graph = extra if kind == "digraph" else None
         module = extra if kind == "module" else None
         if args.coefficients:
-            _, _, module = mio.load_input(args.coefficients)
-            if module is None:
-                raise MagnitudeError("--coefficients file does not hold a module")
+            coefficients_kind, _, module = mio.load_input(args.coefficients)
+            if coefficients_kind != "module":
+                raise InvalidInput("--coefficients file does not hold a module")
             if module.space != space:
-                raise MagnitudeError("coefficients module lives over a different space")
+                raise SpaceMismatch("coefficients module lives over a different space")
         if module is not None:
             problems = validate_module(space, module)
             if problems and args.command != "validate":
-                raise MagnitudeError(f"module invalid: {problems[0]}")
+                raise InvalidInput(f"module invalid: {problems[0]}")
         job = JobSpec(
             n_max=args.nmax,
             l_max=args.lmax,

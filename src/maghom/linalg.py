@@ -304,81 +304,96 @@ def _clear(major, minor, i0, j0, track=None):
                 track[i0], track[i] = _combine(track[i0], track[i], x, y, u, w)
 
 
-def _pick_pivot(rows, cols):
-    """Smallest |entry| first, then least fill-in, then position (determinism)."""
+def _pick_pivot(block, rows, cols):
+    """Smallest |entry| first, then least fill-in, then position (determinism).
+
+    The search runs over the rows of one block, in order, and skips the rows
+    that are gone or empty; the first unit entry with no fill-in ends it.
+    None when the block has no entry left.
+    """
     best = None
     best_key = None
-    for r, row in rows.items():
+    for r in block:
+        row = rows.get(r)
+        if not row:
+            continue
         rfill = len(row) - 1
         for c, v in row.items():
-            key = (abs(v), rfill * (len(cols[c]) - 1), r, c)
+            size = abs(v)
+            if best_key is not None and size > best_key[0]:
+                continue
+            key = (size, rfill * (len(cols[c]) - 1), r, c)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (r, c)
-                if key[0] == 1 and key[1] == 0:
+                if size == 1 and key[1] == 0:
                     return best
     return best
 
 
-def _blocks(matrix: SparseMatrix) -> list[list]:
-    """The nonzero entries grouped into the matrix's connected blocks.
+def _lines(matrix: SparseMatrix):
+    """The rows {r: {c: v}} and the columns {c: {r: v}} of a matrix, in entry order."""
+    rows, cols = {}, {}
+    for (r, c), v in matrix.entries.items():
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, {})[r] = v
+    return rows, cols
 
-    Rows and columns are the nodes of a graph whose edges are the entries;
-    union-find joins the row and the column of every entry (column c is
-    node ~c).  Blocks come in the order of their first entry and keep their
-    entries in the matrix's order, as ((row, col), value) pairs.  Row and
-    column operations inside one block never touch another, so each block
-    can be eliminated alone.
+
+def _components(rows, cols) -> list[list]:
+    """The rows of each connected block, as lists.
+
+    Rows and columns are the nodes of a graph whose edges are the entries.
+    A walk from each unseen row, in row order, labels its block; blocks come
+    in the order of their first row, and each keeps its rows in the order of
+    rows (the order in which they first appear among the entries), not in
+    walk order.  Row and column operations inside one block never touch
+    another, so each block can be eliminated alone.
     """
-    parent = {}
-
-    def find(x):
-        root = x
-        while (up := parent.setdefault(root, root)) != root:
-            root = up
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for r, c in matrix.entries:
-        a, b = find(r), find(~c)
-        if a != b:
-            parent[a] = b
-    blocks = {}
-    for key, v in matrix.entries.items():
-        blocks.setdefault(find(key[0]), []).append((key, v))
-    return list(blocks.values())
+    label = {}
+    seen_cols = set()
+    count = 0
+    for start in rows:
+        if start in label:
+            continue
+        label[start] = count
+        stack = [start]
+        while stack:
+            for c in rows[stack.pop()]:
+                if c not in seen_cols:
+                    seen_cols.add(c)
+                    for r in cols[c]:
+                        if r not in label:
+                            label[r] = count
+                            stack.append(r)
+        count += 1
+    blocks = [[] for _ in range(count)]
+    for r in rows:
+        blocks[label[r]].append(r)
+    return blocks
 
 
 def _diagonalize(matrix: SparseMatrix, track=None):
     """Pivot values and pivot columns of a sparse Smith elimination.
 
-    Each connected block is held as rows and as columns and eliminated on
-    its own.  Each pivot (min |entry|, then min fill-in) is isolated by
-    alternating row and column passes and then removed, so unimodular U and
-    Q bring the matrix to a diagonal form U.M.Q with |entries| = the pivot
-    values on the pivot columns and zero columns elsewhere.  A block sees
-    the pivots that one elimination of the whole matrix would pick in it,
-    in the same order.  This is the only integer elimination loop; track,
-    when given, is a list of one sparse vector per column that receives
-    every column operation, turning a seeded identity into Q.
+    The matrix is held once as rows and as columns (`_lines`) and eliminated
+    in place, one connected block at a time.  Each pivot (min |entry|, then
+    min fill-in) is isolated by alternating row and column passes and then
+    removed, so unimodular U and Q bring the matrix to a diagonal form U.M.Q
+    with |entries| = the pivot values on the pivot columns and zero columns
+    elsewhere.  A block's rows are searched in the order in which they first
+    appear, so a block sees the pivots that one elimination of the whole
+    matrix would pick in it, in the same order.  An emptied line never
+    refills, since every operation combines nonempty lines, so the search
+    just skips it.  This is the only integer elimination loop; track, when
+    given, is a list of one sparse vector per column that receives every
+    column operation, turning a seeded identity into Q.
     """
+    rows, cols = _lines(matrix)
     values, pivot_cols = [], []
-    for block in _blocks(matrix):
-        rows = {}
-        cols = {}
-        for (r, c), v in block:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, {})[r] = v
-        while rows:
-            # drop empty rows/cols left behind by eliminations
-            for r in [r for r, row in rows.items() if not row]:
-                del rows[r]
-            for c in [c for c, col in cols.items() if not col]:
-                del cols[c]
-            if not rows:
-                break
-            r0, c0 = _pick_pivot(rows, cols)
+    for block in _components(rows, cols):
+        while (pivot := _pick_pivot(block, rows, cols)) is not None:
+            r0, c0 = pivot
             while True:
                 _clear(rows, cols, r0, c0)
                 if len(rows[r0]) == 1:
@@ -599,22 +614,20 @@ def rank_over_field(matrix: SparseMatrix, fld) -> int:
 
     Over QQ it is the number of pivots of the integer Smith elimination of
     the matrix, its columns cleared of denominators first.  Over GF(p) it is
-    the sum of the connected blocks' ranks: each block's columns span a
-    space of their own, so the reduced echelon form of one block never
-    back-substitutes into another's pivots.
+    the sum of the ranks of the blocks that the Smith elimination walks
+    (`_lines`, `_components`): each block's columns span a space of their
+    own, so the reduced echelon form of one block never back-substitutes
+    into another's pivots.
     """
     fld = check_field(fld)
     if fld.p is None:
         return len(_diagonalize(_integral_columns(matrix))[0])
+    rows, cols = _lines(matrix)
     rank = 0
-    for block in _blocks(matrix):
-        cols = {}
-        for (r, c), v in block:
-            if v := fld.of(v):
-                cols.setdefault(c, {})[r] = v
+    for block in _components(rows, cols):
         span = FieldColumnSpan(fld)
-        for c in sorted(cols):
-            span._insert(cols[c])
+        for c in sorted({c for r in block for c in rows[r]}):
+            span._insert({r: x for r, v in cols[c].items() if (x := fld.of(v))})
         rank += span.rank()
     return rank
 

@@ -3,10 +3,15 @@
 Nothing here shares code with the package: shortest paths are recomputed by
 plain breadth-first search on adjacency lists, tuple enumeration walks every
 raw sequence, and the Smith form oracle is a dense textbook elimination.
+The one exception is the reference Smith elimination at the end: it keeps
+the package's row and column operations (`_clear`) and pins the order in
+which the package picks its pivots.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from maghom.linalg import SparseMatrix, _clear
 
 
 def bfs_distances(vertices, arcs):
@@ -267,3 +272,87 @@ def positional_bar_boundary(res, n):
                 key = (rows[face], col)
                 out[key] = out.get(key, 0) + (-1 if i % 2 else 1)
     return {key: v for key, v in out.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# reference Smith elimination: blocks by union-find, each block rebuilt into
+# its own row and column dicts, empty lines swept before every pivot.  The
+# package's eliminator must pick the same pivots, in the same order, and
+# track the same column transform Q.
+
+
+def _pick_pivot(rows, cols):
+    """Smallest |entry| first, then least fill-in, then position (determinism)."""
+    best = None
+    best_key = None
+    for r, row in rows.items():
+        rfill = len(row) - 1
+        for c, v in row.items():
+            key = (abs(v), rfill * (len(cols[c]) - 1), r, c)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (r, c)
+                if key[0] == 1 and key[1] == 0:
+                    return best
+    return best
+
+
+def _blocks(matrix: SparseMatrix) -> list[list]:
+    """The nonzero entries grouped into the matrix's connected blocks.
+
+    Rows and columns are the nodes of a graph whose edges are the entries;
+    union-find joins the row and the column of every entry (column c is
+    node ~c).  Blocks come in the order of their first entry and keep their
+    entries in the matrix's order, as ((row, col), value) pairs.
+    """
+    parent = {}
+
+    def find(x):
+        root = x
+        while (up := parent.setdefault(root, root)) != root:
+            root = up
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for r, c in matrix.entries:
+        a, b = find(r), find(~c)
+        if a != b:
+            parent[a] = b
+    blocks = {}
+    for key, v in matrix.entries.items():
+        blocks.setdefault(find(key[0]), []).append((key, v))
+    return list(blocks.values())
+
+
+def reference_diagonalize(matrix: SparseMatrix, track=None):
+    """(pivot values, pivot columns) of the reference Smith elimination;
+    track, when given, receives every column operation."""
+    values, pivot_cols = [], []
+    for block in _blocks(matrix):
+        rows = {}
+        cols = {}
+        for (r, c), v in block:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, {})[r] = v
+        while rows:
+            # drop empty rows/cols left behind by eliminations
+            for r in [r for r, row in rows.items() if not row]:
+                del rows[r]
+            for c in [c for c, col in cols.items() if not col]:
+                del cols[c]
+            if not rows:
+                break
+            r0, c0 = _pick_pivot(rows, cols)
+            while True:
+                _clear(rows, cols, r0, c0)
+                if len(rows[r0]) == 1:
+                    break
+                _clear(cols, rows, c0, r0, track)
+                if len(cols[c0]) == 1:
+                    break
+            # the pivot is now alone in its row and its column
+            values.append(abs(rows[r0][c0]))
+            pivot_cols.append(c0)
+            del rows[r0], cols[c0]
+    return values, pivot_cols

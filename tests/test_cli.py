@@ -409,6 +409,39 @@ def test_negative_bounds_are_invalid_input(capsys, k2_file):
         assert json.loads(out) == {"error": "InvalidInput", "detail": f"{flag} must be nonnegative"}
 
 
+NOT_A_MODULE = "--coefficients file does not hold a module"
+
+
+@pytest.mark.parametrize(
+    "command, error, detail",
+    [
+        ("mh k2 --coefficients k2", "InvalidInput", NOT_A_MODULE),
+        ("mh k2 --coefficients sp", "InvalidInput", NOT_A_MODULE),
+        ("mh k2 --coefficients mod", "SpaceMismatch", "coefficients module lives over a different space"),
+        ("mh bad", "InvalidInput", "module invalid: ShapeMismatch"),
+        ("inv k2", "InvalidInput", "inv needs a module input"),
+        ("coinv sp", "InvalidInput", "coinv needs a module input"),
+        ("relations sp", "InvalidInput", "relations needs a digraph input"),
+    ],
+)
+def test_wrong_input_kinds_are_named_errors(capsys, tmp_path, command, error, detail):
+    files = {
+        "k2": mio.dump_digraph(k2_digraph()),
+        "sp": ONE_ARC,
+        "mod": {"space": "sp.json", "components": {"a": [["0", 1]]}},
+        "bad": {
+            "space": ONE_ARC,
+            "components": {"a": [["0", 1]], "b": [["1", 1]]},
+            "actions": {"a->b": {"0": [[1, 1]]}},
+        },
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    argv = [str(tmp_path / f"{a}.json") if a in files else a for a in command.split()]
+    err = _error(*run(capsys, *argv))
+    assert err["error"] == error and err["detail"].startswith(detail)
+
+
 def test_infinite_lmax_is_rejected_before_computing(capsys, c3_file):
     # a cycle has attainable grades without bound
     err = _error(*run(capsys, "mh", c3_file, "--lmax", "inf"))

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maghom.chain import magnitude_complex
 from maghom.errors import InvalidField, NotAComplex
+from maghom.gen import random_digraph
 from maghom.linalg import (
     QQ,
     FieldColumnSpan,
     HomologySummary,
     PrimeField,
     SparseMatrix,
-    _blocks,
+    _components,
+    _diagonalize,
+    _lines,
     homology_at,
     integer_kernel_basis,
     kernel_basis_over_field,
@@ -21,8 +25,16 @@ from maghom.linalg import (
     solve_in_span,
     xgcd,
 )
+from maghom.space import digraph_to_space
 
-from oracles import dense_kernel_rref, dense_rank_qq, dense_rref, dense_snf, dense_solve
+from oracles import (
+    dense_kernel_rref,
+    dense_rank_qq,
+    dense_rref,
+    dense_snf,
+    dense_solve,
+    reference_diagonalize,
+)
 
 
 def M(rows, **kw):
@@ -188,10 +200,10 @@ def _shuffled(blocks, rng, spare_rows=0, spare_cols=0):
     return dense
 
 
-def _random_blocks(rng):
+def _random_blocks(rng, side=3):
     blocks = []
     for _ in range(rng.randrange(1, 7)):
-        m, n = rng.randrange(1, 4), rng.randrange(1, 4)
+        m, n = rng.randrange(1, side + 1), rng.randrange(1, side + 1)
         density = rng.choice((1.0, 0.7, 0.4))
         blocks.append(
             [
@@ -221,6 +233,14 @@ def test_block_diagonal_matrices_match_dense_oracles():
             assert dense_snf(basis) == [1] * len(basis)
 
 
+def _blocks(matrix):
+    """The entries of each block of the component walk, in the matrix's order."""
+    return [
+        [(key, v) for key, v in matrix.entries.items() if key[0] in rows]
+        for rows in map(set, _components(*_lines(matrix)))
+    ]
+
+
 def test_blocks_are_the_connected_components():
     rows = _shuffled([[[1]], [[2]], [[4]], [[6]]], random.Random(37), 2, 1)
     blocks = _blocks(M(rows))
@@ -229,6 +249,9 @@ def test_blocks_are_the_connected_components():
     assert [[key for key, _ in b] for b in _blocks(chain)] == [
         [(0, 0), (0, 1), (1, 1), (1, 2), (3, 0)]
     ]
+    # a block keeps its rows in the order they first appear, not in walk order
+    mat = SparseMatrix(3, 2, {(2, 0): 1, (0, 1): 1, (1, 0): 1, (0, 0): 1})
+    assert _components(*_lines(mat)) == [[2, 0, 1]]
 
 
 def test_torsion_merges_across_blocks():
@@ -255,8 +278,35 @@ def test_rational_rank_clears_each_columns_denominators():
         [0, 0, 0, 0, 0, 0, 0, 0],
     ]
     mat = M(rows)
-    assert len(_blocks(mat)) == 2
+    assert len(_components(*_lines(mat))) == 2
     assert rank_over_field(mat, QQ) == dense_rank_qq(rows) == 3
+
+
+def _assert_reference_pivots(mat):
+    """Equal pivot values, pivot columns and tracked Q to the reference."""
+    q, q_ref = ([{j: 1} for j in range(mat.cols)] for _ in range(2))
+    assert _diagonalize(mat, q) == reference_diagonalize(mat, q_ref)
+    assert q == q_ref
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32))
+def test_pivots_match_reference_elimination(seed):
+    """Shuffled blocks with zero lines, entered in a shuffled order, so rows
+    first appear out of index order."""
+    rng = random.Random(seed)
+    rows = _shuffled(_random_blocks(rng, 6), rng, rng.randrange(3), rng.randrange(3))
+    items = list(M(rows).entries.items())
+    rng.shuffle(items)
+    _assert_reference_pivots(SparseMatrix(len(rows), len(rows[0]), dict(items)))
+
+
+def test_pivots_match_reference_on_boundary_maps():
+    space = digraph_to_space(random_digraph(8, 1, 0.35))
+    maps = [d for g in range(5) for d in magnitude_complex(space, g, 4).maps if d.nnz()]
+    assert sum(d.nnz() for d in maps) > 1000
+    for d in maps:
+        _assert_reference_pivots(d)
 
 
 @st.composite
