@@ -103,9 +103,9 @@ def _check_format(fmt: str):
         raise UnsupportedFormat(f"format must be json, csv, or table, got {fmt!r}")
 
 
-def _cells(h, prefix="") -> dict:
+def _cells(h) -> dict:
     """The betti and torsion cells of a report row, from anything with both."""
-    return {prefix + "betti": h.betti, prefix + "torsion": ";".join(str(t) for t in h.torsion)}
+    return {"betti": h.betti, "torsion": ";".join(str(t) for t in h.torsion)}
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +181,16 @@ def _chain_rows(space, module, n_max, l_max, fld):
     return rows
 
 
+def _tor_rows(space, module, job):
+    mod, res, grades = _resolved(space, module, job, "left")
+    rows = []
+    for g in grades:
+        for n in range(job.n_max + 1):
+            h = tor_bidegree(space, mod, n, g, resolution=res)
+            rows.append({"n": n, "l": format_dist(g), **_cells(h)})
+    return rows
+
+
 def cmd_mh(space, module, job):
     fld = None if job.field is INTEGERS else job.field
     rows = _chain_rows(space, module, job.n_max, job.l_max, fld)
@@ -196,12 +206,7 @@ def cmd_mh(space, module, job):
 def cmd_tor(space, module, job):
     if job.field not in (None, INTEGERS):
         raise InvalidField("tor reports integral betti and torsion; use --field Z")
-    mod, res, grades = _resolved(space, module, job, "left")
-    rows = []
-    for g in grades:
-        for n in range(job.n_max + 1):
-            h = tor_bidegree(space, mod, n, g, resolution=res)
-            rows.append({"n": n, "l": format_dist(g), **_cells(h)})
+    rows = _tor_rows(space, module, job)
     return 0, {
         "kind": "tor",
         "field": "Z",
@@ -231,28 +236,24 @@ def cmd_ext(space, module, job):
 def cmd_crosscheck(space, module, job):
     if job.field not in (None, INTEGERS):
         raise InvalidField("crosscheck compares integral betti and torsion; use --field Z")
-    mod, res, grades = _resolved(space, module, job, "left")
+    chain_rows = _chain_rows(space, module, job.n_max, job.l_max, None)
     rows = []
     mismatches = 0
-    for g in grades:
-        if module is None:
-            cx = magnitude_complex(space, g, job.n_max)
-        else:
-            cx = magnitude_complex_with_coefficients(space, mod, g, job.n_max)
-        for n in range(job.n_max + 1):
-            chain_h = cx.homology(n)
-            tor_h = tor_bidegree(space, mod, n, g, resolution=res)
-            match = (chain_h.betti, chain_h.torsion) == (tor_h.betti, tor_h.torsion)
-            mismatches += 0 if match else 1
-            rows.append(
-                {
-                    "n": n,
-                    "l": format_dist(g),
-                    **_cells(chain_h, "chain_"),
-                    **_cells(tor_h, "tor_"),
-                    "match": "yes" if match else "NO",
-                }
-            )
+    for chain, tor in zip(chain_rows, _tor_rows(space, module, job), strict=True):
+        assert (chain["n"], chain["l"]) == (tor["n"], tor["l"])
+        match = (chain["betti"], chain["torsion"]) == (tor["betti"], tor["torsion"])
+        mismatches += 0 if match else 1
+        rows.append(
+            {
+                "n": chain["n"],
+                "l": chain["l"],
+                "chain_betti": chain["betti"],
+                "chain_torsion": chain["torsion"],
+                "tor_betti": tor["betti"],
+                "tor_torsion": tor["torsion"],
+                "match": "yes" if match else "NO",
+            }
+        )
     status = "all bidegrees agree" if mismatches == 0 else f"{mismatches} mismatches"
     report = {
         "kind": "crosscheck",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import InvalidInput, UnknownPoint, UnvalidatedModule
 from .linalg import QQ, SparseMatrix, integer_kernel_basis, rank_over_field, snf
@@ -42,6 +43,13 @@ def _finite_grade(g):
     return g
 
 
+def _integer(v, where):
+    """v as an int; a bool, a float, a string or a non-integral value raises InvalidInput."""
+    if isinstance(v, bool) or not isinstance(v, Rational) or v.denominator != 1:
+        raise InvalidInput(f"{where} must be an integer, not {v!r}")
+    return int(v)
+
+
 def _is_zero_mat(a):
     return all(v == 0 for row in a for v in row)
 
@@ -57,7 +65,8 @@ class DistanceModule:
     components: per point index, {grade: rank} with zero ranks omitted.
     actions: {(i, j): {grade: matrix}} for i != j with finite d(i, j); a
     missing entry is the zero map.  Matrices are tuples of tuples of ints,
-    shaped rank(j, g + d) x rank(i, g).
+    shaped rank(j, g + d) x rank(i, g).  A rank or an entry that is not an
+    integer, or a negative rank, raises InvalidInput naming its point or pair.
     """
 
     __slots__ = ("space", "components", "actions", "validated")
@@ -67,13 +76,18 @@ class DistanceModule:
         comps = []
         for i in range(len(space)):
             raw = components.get(i, {}) if isinstance(components, dict) else components[i]
-            comps.append({_finite_grade(g): r for g, r in raw.items() if r})
+            where = f"rank at point {space.points[i]!r}"
+            ranks = {g: _integer(r, where) for g, r in raw.items()}
+            if any(r < 0 for r in ranks.values()):
+                raise InvalidInput(f"negative {where}")
+            comps.append({_finite_grade(g): r for g, r in ranks.items() if r})
         self.components = tuple(comps)
         acts = {}
         for (i, j), per_grade in actions.items():
+            where = f"action entry {space.points[i]!r}->{space.points[j]!r}"
             kept = {}
             for g, mat in per_grade.items():
-                mat = tuple(tuple(int(v) for v in row) for row in mat)
+                mat = tuple(tuple(_integer(v, where) for v in row) for row in mat)
                 if not _is_zero_mat(mat):
                     kept[_finite_grade(g)] = mat
             if kept:

@@ -49,6 +49,7 @@ def load_module(data, base_dir: Path | None = None) -> tuple[QuasimetricSpace, D
 
     components: {point: [[grade, rank], ...]}
     actions: {"x->y": {grade: [[int, ...] rows]}}
+    Ranks and entries must be JSON integers; DistanceModule checks them.
     """
     ref = data["space"]
     if isinstance(ref, str):
@@ -59,23 +60,15 @@ def load_module(data, base_dir: Path | None = None) -> tuple[QuasimetricSpace, D
         if sniff_kind(ref) == "module":
             raise InvalidInput(f"referenced file {name!r} does not hold a space or digraph")
     space = load_space(ref) if "points" in ref else digraph_to_space(load_digraph(ref))
-    components = {}
-    for label, pairs in data.get("components", {}).items():
-        i = space.idx(label)
-        ranks = {parse_dist(g): int(r) for g, r in pairs}
-        if any(r < 0 for r in ranks.values()):
-            raise InvalidInput(f"negative rank at point {label!r}")
-        components[i] = ranks
-    for i in range(len(space)):
-        components.setdefault(i, {})
+    components = {
+        space.idx(label): {parse_dist(g): r for g, r in pairs}
+        for label, pairs in data.get("components", {}).items()
+    }
     actions = {}
     for key, per_grade in data.get("actions", {}).items():
         x, _, y = key.partition("->")
         pair = (space.idx(x.strip()), space.idx(y.strip()))
-        actions[pair] = {
-            parse_dist(g): tuple(tuple(int(v) for v in row) for row in mat)
-            for g, mat in per_grade.items()
-        }
+        actions[pair] = {parse_dist(g): mat for g, mat in per_grade.items()}
     return space, DistanceModule(space, components, actions)
 
 

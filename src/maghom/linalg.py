@@ -1,10 +1,12 @@
 """Exact sparse linear algebra: Smith normal form, ranks, kernels, homology.
 
-Everything is arbitrary-precision.  One integer elimination on Python ints
-gives Smith forms, integer kernels and ranks over QQ (the number of its
-pivots).  Ranks over GF(p), and kernels and solves over either field, come
-from one field elimination on Fractions or on ints reduced mod p.
-Intermediate coefficient growth during elimination is expected and harmless.
+Everything is arbitrary-precision.  Counts come from the Smith elimination,
+bases from the echelon span: one integer elimination on Python ints gives
+Smith forms, integer kernels and every rank (over QQ the number of its
+pivots, over GF(p) the number that p does not divide), and one field
+elimination on Fractions or on ints reduced mod p gives kernels and solves
+over either field.  Intermediate coefficient growth during elimination is
+expected and harmless.
 """
 
 from __future__ import annotations
@@ -531,9 +533,9 @@ class FieldColumnSpan:
     A client that needs coordinates passes each inserted vector's own
     {key: coefficient} to `_insert` (every insertion or none); each stored
     vector then carries its coordinates in the inserted vectors.  This is
-    the only field elimination loop: ranks over GF(p), and kernels and
-    solves over either field, are its clients.  Ranks over QQ are not: they
-    are the pivots of the integer elimination.
+    the only field elimination loop, and it serves only the jobs that need
+    a basis: kernels, solves and the ring's class spans.  Ranks are counts,
+    and counts come from the Smith elimination (`rank_over_field`).
     """
 
     def __init__(self, fld):
@@ -589,9 +591,6 @@ class FieldColumnSpan:
         self._reduce(v)
         return not v
 
-    def rank(self) -> int:
-        return len(self.pivots)
-
 
 def _integral_columns(matrix: SparseMatrix) -> SparseMatrix:
     """The matrix with each column scaled by the lcm of its denominators.
@@ -610,26 +609,22 @@ def _integral_columns(matrix: SparseMatrix) -> SparseMatrix:
 
 
 def rank_over_field(matrix: SparseMatrix, fld) -> int:
-    """Exact rank over QQ or GF(p).
+    """Exact rank over QQ or GF(p): a count of the Smith elimination's pivots.
 
-    Over QQ it is the number of pivots of the integer Smith elimination of
-    the matrix, its columns cleared of denominators first.  Over GF(p) it is
-    the sum of the ranks of the blocks that the Smith elimination walks
-    (`_lines`, `_components`): each block's columns span a space of their
-    own, so the reduced echelon form of one block never back-substitutes
-    into another's pivots.
+    The columns are cleared of denominators first, which keeps the rank over
+    QQ.  Unimodular U and Q bring the integer matrix to the diagonal of
+    pivot values, and both stay invertible mod p, so the rank over QQ is the
+    number of pivots and the rank over GF(p) the number that p does not
+    divide.  Over GF(p) every entry must have a value there (InvalidField
+    otherwise); then p divides no column's lcm of denominators, so clearing
+    them keeps the rank mod p too.
     """
-    fld = check_field(fld)
-    if fld.p is None:
-        return len(_diagonalize(_integral_columns(matrix))[0])
-    rows, cols = _lines(matrix)
-    rank = 0
-    for block in _components(rows, cols):
-        span = FieldColumnSpan(fld)
-        for c in sorted({c for r in block for c in rows[r]}):
-            span._insert({r: x for r, v in cols[c].items() if (x := fld.of(v))})
-        rank += span.rank()
-    return rank
+    p = check_field(fld).p
+    if p is not None:
+        for v in matrix.entries.values():
+            fld.of(v)
+    values, _ = _diagonalize(_integral_columns(matrix))
+    return sum(1 for d in values if p is None or d % p)
 
 
 def kernel_basis_over_field(matrix: SparseMatrix, fld) -> list[list]:

@@ -20,7 +20,7 @@ maps that the same builder assembles on the right resolution.
 from __future__ import annotations
 
 from .chain import BasedComplex, tuples_up_to_grade
-from .errors import ResolutionTooShort, UnvalidatedModule
+from .errors import ResolutionTooShort, SpaceMismatch, UnvalidatedModule
 from .linalg import HomologySummary, SparseMatrix, check_field
 from .space import QuasimetricSpace, parse_dist
 
@@ -236,7 +236,10 @@ def _module_matrix(res, module, k, src, tgt):
 
 def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
     """The module complex at one grade over the given resolution, or a
-    default one on `side`, checked to reach homological degree n."""
+    default one on `side`, checked to lie over the space and to reach
+    homological degree n."""
+    if module.space is not space and module.space != space:
+        raise UnvalidatedModule("module lives over a different space")
     if not module.validated:
         raise UnvalidatedModule("run validate_module first")
     # the deepest tuple grade a query touches: grade - h on the left, grade + h on the right
@@ -244,6 +247,8 @@ def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
     needed = grade + max((sign * h for h in module.grades()), default=0)
     if resolution is None:
         resolution = bar_resolution(space, side, n + 1, max(needed, 0))
+    elif resolution.space is not space and resolution.space != space:
+        raise SpaceMismatch("resolution lives over a different space")
     if resolution.side != side:
         functor = "Tor" if side == "left" else "Ext"
         raise ResolutionTooShort(f"{functor} needs a {side} resolution")

@@ -273,6 +273,8 @@ def yoneda_product(psi: Cochain, phi: Cochain, resolution: BarResolution | None 
     total_grade = l + s
     if resolution is None:
         resolution = bar_resolution(space, "left", n + m, total_grade)
+    elif resolution.space is not space and resolution.space != space:
+        raise SpaceMismatch("resolution lives over a different space")
     if resolution.side != "left":
         raise ResolutionTooShort("the product uses the left resolution")
     if n + m > resolution.n_max or total_grade > resolution.l_max:

@@ -473,6 +473,30 @@ def test_negative_module_rank_is_invalid_input(capsys, tmp_path):
     assert err == {"error": "InvalidInput", "detail": "negative rank at point 'a'"}
 
 
+@pytest.mark.parametrize("command", ["validate", "coinv"])
+@pytest.mark.parametrize(
+    "components, actions, where",
+    [
+        ({"a": [["0", 2.7]]}, {}, "rank at point 'a'"),
+        ({"a": [["0", True]]}, {}, "rank at point 'a'"),
+        ({"a": [["0", "1"]]}, {}, "rank at point 'a'"),
+        ({"a": [["0", 1]], "b": [["1", 1]]}, {"a->b": {"0": [[1.5]]}}, "action entry 'a'->'b'"),
+        ({"a": [["0", 1]], "b": [["1", 1]]}, {"a->b": {"0": [[False]]}}, "action entry 'a'->'b'"),
+        ({"a": [["0", 1]], "b": [["1", 1]]}, {"a->b": {"0": [["1"]]}}, "action entry 'a'->'b'"),
+    ],
+)
+def test_non_integer_module_values_are_invalid_input(
+    capsys, tmp_path, command, components, actions, where
+):
+    # each was truncated to an int before: 2.7 to rank 2, 1.5 to the entry 1
+    space = {"points": ["a", "b"], "dist": [["0", "1"], ["inf", "0"]]}
+    p = tmp_path / "mod.json"
+    p.write_text(json.dumps({"space": space, "components": components, "actions": actions}))
+    err = _error(*run(capsys, command, str(p)))
+    assert err["error"] == "InvalidInput"
+    assert err["detail"].startswith(f"{where} must be an integer")
+
+
 def test_mutated_inputs_never_raise(capsysbinary, tmp_path):
     # seeded truncations and one-character edits of small valid files: every
     # run exits 0, or 1 with the structured error (or validate's own report)

@@ -126,6 +126,25 @@ def test_infinite_grades_are_rejected():
         shift_module(trivial_module(s, 0, 1), "inf")
 
 
+def test_non_integral_ranks_and_entries_are_rejected_not_truncated():
+    s = x2()
+    comps = {0: {Fraction(0): 1}, 1: {Fraction(1): 1}}
+    with pytest.raises(InvalidInput, match="rank at point 'a' must be an integer"):
+        DistanceModule(s, {0: {Fraction(0): Fraction(3, 2)}}, {})
+    with pytest.raises(InvalidInput, match="rank at point 'b' must be an integer"):
+        DistanceModule(s, {1: {Fraction(0): True}}, {})
+    with pytest.raises(InvalidInput, match="action entry 'a'->'b' must be an integer"):
+        DistanceModule(s, comps, {(0, 1): {Fraction(0): ((Fraction(3, 2),),)}})
+    with pytest.raises(InvalidInput, match="action entry 'a'->'b' must be an integer"):
+        DistanceModule(s, comps, {(0, 1): {Fraction(0): ((1.0,),)}})
+    with pytest.raises(InvalidInput, match="negative rank at point 'a'"):
+        DistanceModule(s, {0: {Fraction(0): -1}}, {})
+    # an integral Fraction is an integer
+    m = DistanceModule(s, comps, {(0, 1): {Fraction(0): ((Fraction(4, 2),),)}})
+    assert m.actions == {(0, 1): {Fraction(0): ((2,),)}}
+    assert type(m.actions[(0, 1)][Fraction(0)][0][0]) is int
+
+
 def test_shift_module_roundtrip():
     m = rep_x2()
     assert shift_module(m, 0) == m

@@ -329,6 +329,12 @@ def rational_block_matrices(draw):
     return [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
 
 
+def _mod(v, p):
+    """The value of an int or a Fraction in GF(p)."""
+    v = Fraction(v)
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rows=rational_block_matrices())
 def test_rational_rank_matches_dense_elimination(rows):
@@ -337,6 +343,36 @@ def test_rational_rank_matches_dense_elimination(rows):
     assert rank == dense_rank_qq(rows)
     if all(type(v) is int for row in rows for v in row):
         assert rank == len(snf(mat))
+    for p in (2, 3, 5):
+        if any(Fraction(v).denominator % p == 0 for row in rows for v in row):
+            with pytest.raises(InvalidField):
+                rank_over_field(mat, PrimeField(p))
+        else:
+            reduced = [[_mod(v, p) for v in row] for row in rows]
+            assert rank_over_field(mat, PrimeField(p)) == len(dense_rref(reduced, p)[1])
+
+
+def test_prime_rank_counts_the_pivots_p_does_not_divide():
+    # (rows, {p: rank over GF(p)}): [[2, 3]] has the pivot gcd(2, 3) = 1,
+    # diag(4, 9) and [[2, 4], [6, 8]] (Smith form diag(2, 4)) prime powers
+    cases = [
+        ([[2, 3]], {2: 1, 3: 1, 5: 1}),
+        ([[4, 0], [0, 9]], {2: 1, 3: 1, 5: 2}),
+        ([[2, 4], [6, 8]], {2: 0, 3: 2, 5: 2}),
+    ]
+    for rows, ranks in cases:
+        for p, rank in ranks.items():
+            assert rank_over_field(M(rows), PrimeField(p)) == rank
+            assert len(dense_rref(rows, p)[1]) == rank
+
+
+def test_prime_ranks_of_boundary_maps_match_dense_elimination():
+    space = digraph_to_space(random_digraph(8, 1, 0.35))
+    maps = [d for g in range(5) for d in magnitude_complex(space, g, 4).maps if d.nnz()]
+    for d in maps:
+        rows = d.to_dense()
+        for p in (2, 3):
+            assert rank_over_field(d, PrimeField(p)) == len(dense_rref(rows, p)[1])
 
 
 def test_prime_field_reduces_fractions():
@@ -352,9 +388,6 @@ def test_prime_field_reduces_fractions():
     with pytest.raises(InvalidField):
         rank_over_field(M([[F(2, 9)]]), gf3)
 
-    def reduce(v):
-        return v.numerator * pow(v.denominator, -1, 3) % 3
-
     rng = random.Random(43)
     for _ in range(40):
         m, n = rng.randrange(1, 5), rng.randrange(1, 6)
@@ -362,13 +395,13 @@ def test_prime_field_reduces_fractions():
             [F(rng.randrange(-4, 5), rng.choice((1, 2, 4, 5))) for _ in range(n)]
             for _ in range(m)
         ]
-        reduced = [[reduce(v) for v in row] for row in rows]
+        reduced = [[_mod(v, 3) for v in row] for row in rows]
         mat = M(rows)
         assert rank_over_field(mat, gf3) == len(dense_rref(reduced, 3)[1])
         assert kernel_basis_over_field(mat, gf3) == dense_kernel_rref(reduced, n, 3)
         cols = [list(c) for c in zip(*rows)]
         target = [F(rng.randrange(-3, 4), rng.choice((1, 2))) for _ in range(m)]
-        expected = dense_solve([list(c) for c in zip(*reduced)], [reduce(t) for t in target], 3)
+        expected = dense_solve([list(c) for c in zip(*reduced)], [_mod(t, 3) for t in target], 3)
         assert solve_in_span(cols, [target], gf3) == [expected]
 
 

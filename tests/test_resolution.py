@@ -4,7 +4,7 @@ import pytest
 
 from maghom.chain import magnitude_complex, magnitude_complex_with_coefficients
 from maghom.distmod import direct_sum, representable_module, shift_module, trivial_module
-from maghom.errors import ResolutionTooShort
+from maghom.errors import ResolutionTooShort, SpaceMismatch, UnvalidatedModule
 from maghom.gen import random_module
 from maghom.instances import c3, k2, x2
 from maghom.linalg import QQ, PrimeField
@@ -327,6 +327,27 @@ def test_resolution_too_short_errors():
         ext_bidegree(s, triv, 0, 0, QQ, resolution=res)  # wrong side
     with pytest.raises(ResolutionTooShort):
         resolution_homology(res, 2, 0)
+
+
+def test_module_or_resolution_over_another_space_is_rejected():
+    from maghom.gen import random_space
+
+    space = random_space(3, 1)
+    triv = trivial_module(space, 0, 1)
+    assert tor_bidegree(space, triv, 1, 1).betti == 1
+    # C3's resolution read 3 here, C3's module a number of its own
+    with pytest.raises(SpaceMismatch):
+        tor_bidegree(space, triv, 1, 1, resolution=bar_resolution(c3(), "left", 2, 1))
+    with pytest.raises(SpaceMismatch):
+        ext_bidegree(space, triv, 1, 1, QQ, resolution=bar_resolution(c3(), "right", 2, 1))
+    with pytest.raises(UnvalidatedModule, match="different space"):
+        tor_bidegree(space, trivial_module(c3(), 0, 1), 1, 1)
+    with pytest.raises(UnvalidatedModule, match="different space"):
+        ext_bidegree(space, trivial_module(c3(), 0, 1), 1, 1, QQ)
+    # an equal space built apart is the same space
+    twin = random_space(3, 1)
+    res = bar_resolution(twin, "left", 2, 1)
+    assert tor_bidegree(space, trivial_module(twin, 0, 1), 1, 1, resolution=res).betti == 1
 
 
 def test_sides_have_mirrored_sizes():

@@ -271,6 +271,15 @@ def test_yoneda_unit_class_acts_as_identity_in_cohomology():
         assert span.contains(diff) or all(v == 0 for v in diff)
 
 
+def test_yoneda_rejects_resolution_over_another_space():
+    # C3's resolution failed with ResolutionTooShort, which names no space
+    s = k2()
+    psi = Cochain(s, 1, 1, QQ, {(0, 1): 1})
+    phi = Cochain(s, 1, 1, QQ, {(1, 0): 1})
+    with pytest.raises(SpaceMismatch, match="resolution lives over a different space"):
+        yoneda_product(psi, phi, bar_resolution(c3(), "left", 2, 2))
+
+
 def test_yoneda_rejects_non_cocycle():
     s = c3()
     res = bar_resolution(s, "left", 2, 3)
