@@ -61,15 +61,30 @@ def load_module(data, base_dir: Path | None = None) -> tuple[QuasimetricSpace, D
             raise InvalidInput(f"referenced file {name!r} does not hold a space or digraph")
     space = load_space(ref) if "points" in ref else digraph_to_space(load_digraph(ref))
     components = {
-        space.idx(label): {parse_dist(g): r for g, r in pairs}
+        space.idx(label): _by_grade(pairs, f"point {label!r}")
         for label, pairs in data.get("components", {}).items()
     }
     actions = {}
     for key, per_grade in data.get("actions", {}).items():
         x, _, y = key.partition("->")
-        pair = (space.idx(x.strip()), space.idx(y.strip()))
-        actions[pair] = {parse_dist(g): mat for g, mat in per_grade.items()}
+        x, y = x.strip(), y.strip()
+        pair = (space.idx(x), space.idx(y))
+        if pair in actions:
+            raise InvalidInput(f"action {x!r}->{y!r} is given twice")
+        actions[pair] = _by_grade(per_grade.items(), f"action {x!r}->{y!r}")
     return space, DistanceModule(space, components, actions)
+
+
+def _by_grade(pairs, where) -> dict:
+    """{grade: value} of (grade literal, value) pairs; two literals of one
+    grade, such as "0" and "0/1", are an error, not an overwrite."""
+    out = {}
+    for g, value in pairs:
+        grade = parse_dist(g)
+        if grade in out:
+            raise InvalidInput(f"{where} gives grade {format_dist(grade)} twice")
+        out[grade] = value
+    return out
 
 
 def dump_module(module: DistanceModule) -> dict:

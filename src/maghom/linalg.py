@@ -5,8 +5,10 @@ bases from the echelon span: one integer elimination on Python ints gives
 Smith forms, integer kernels and every rank (over QQ the number of its
 pivots, over GF(p) the number that p does not divide), and one field
 elimination on Fractions or on ints reduced mod p gives kernels and solves
-over either field.  Intermediate coefficient growth during elimination is
-expected and harmless.
+over either field.  A matrix keeps its pivot values once eliminated, so its
+Smith form and its ranks over every field share one elimination.
+Intermediate coefficient growth during elimination is expected and
+harmless.
 """
 
 from __future__ import annotations
@@ -128,15 +130,19 @@ class SparseMatrix:
     """Sparse matrix as {(row, col): value}; zero entries are never stored.
 
     Values are exact scalars (int or Fraction).  Integer-only routines such
-    as snf() assume int entries.
+    as snf() assume int entries.  The pivot values of the matrix's Smith
+    elimination are kept on it once snf() or rank_over_field() has run, so
+    each matrix is eliminated once; add_at() drops them.  Write `entries`
+    directly only on a matrix that nothing has eliminated yet.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_pivots")
 
     def __init__(self, rows: int, cols: int, entries=None):
         self.rows = rows
         self.cols = cols
         self.entries = {}
+        self._pivots = None
         if entries:
             for (r, c), v in entries.items():
                 self.add_at(r, c, v)
@@ -163,6 +169,7 @@ class SparseMatrix:
             raise IndexError(f"entry ({r},{c}) out of bounds {self.rows}x{self.cols}")
         if v == 0:
             return
+        self._pivots = None
         key = (r, c)
         new = self.entries.get(key, 0) + v
         if new == 0:
@@ -410,6 +417,14 @@ def _diagonalize(matrix: SparseMatrix, track=None):
     return values, pivot_cols
 
 
+def _pivot_values(matrix: SparseMatrix) -> tuple[int, ...]:
+    """The pivot values of the matrix's Smith elimination, its columns
+    cleared of denominators first; eliminated once and kept on the matrix."""
+    if matrix._pivots is None:
+        matrix._pivots = tuple(_diagonalize(_integral_columns(matrix))[0])
+    return matrix._pivots
+
+
 def snf(matrix: SparseMatrix) -> list[int]:
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
 
@@ -417,7 +432,7 @@ def snf(matrix: SparseMatrix) -> list[int]:
     chain.  Unit pivots divide everything, so only the others enter the
     fix-up.
     """
-    diag, _ = _diagonalize(matrix)
+    diag = _pivot_values(matrix)
     units = diag.count(1)
     diag = [d for d in diag if d != 1]
     changed = True
@@ -623,8 +638,7 @@ def rank_over_field(matrix: SparseMatrix, fld) -> int:
     if p is not None:
         for v in matrix.entries.values():
             fld.of(v)
-    values, _ = _diagonalize(_integral_columns(matrix))
-    return sum(1 for d in values if p is None or d % p)
+    return sum(1 for d in _pivot_values(matrix) if p is None or d % p)
 
 
 def kernel_basis_over_field(matrix: SparseMatrix, fld) -> list[list]:

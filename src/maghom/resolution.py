@@ -52,6 +52,9 @@ class BarResolution:
         self.gen_index = [{t: i for i, t in enumerate(ts)} for ts in self.gens]
         self._complexes = {}
         self._gen_terms = {}
+        # (module, grade, complex): the module complex that the last Tor or
+        # Ext query built, which every degree of that grade reads
+        self._module_complex = None
 
     def _check_degree(self, n: int, low: int):
         if not low <= n <= self.n_max:
@@ -237,7 +240,11 @@ def _module_matrix(res, module, k, src, tgt):
 def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
     """The module complex at one grade over the given resolution, or a
     default one on `side`, checked to lie over the space and to reach
-    homological degree n."""
+    homological degree n.
+
+    The resolution keeps the last complex it built, for that module object
+    and grade, so the degrees of one grade share its maps and their
+    eliminations; the checks run on every call."""
     if module.space is not space and module.space != space:
         raise UnvalidatedModule("module lives over a different space")
     if not module.validated:
@@ -257,12 +264,17 @@ def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
             f"homological degree {n} outside 0..{resolution.n_max - 1} of the resolution"
         )
     resolution.check_grade_fit(needed)
-    return BasedComplex(
+    cached = resolution._module_complex
+    if cached is not None and cached[0] is module and cached[1] == grade:
+        return cached[2]
+    cx = BasedComplex(
         resolution.n_max - 1,
         lambda k: _components(resolution, module, k, grade),
         lambda k, src, tgt: _module_matrix(resolution, module, k, src, tgt),
         grade=grade,
     )
+    resolution._module_complex = (module, grade, cx)
+    return cx
 
 
 def tor_bidegree(space, module, n: int, grade, resolution: BarResolution | None = None) -> HomologySummary:

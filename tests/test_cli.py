@@ -497,6 +497,36 @@ def test_non_integer_module_values_are_invalid_input(
     assert err["detail"].startswith(f"{where} must be an integer")
 
 
+@pytest.mark.parametrize("command", ["validate", "coinv"])
+@pytest.mark.parametrize(
+    "components, actions, detail",
+    [
+        ({"a": [["0", 1], ["0", 2]]}, {}, "point 'a' gives grade 0 twice"),
+        ({"a": [["0", 1], ["0/1", 2]]}, {}, "point 'a' gives grade 0 twice"),
+        (
+            {"a": [["0", 1]], "b": [["1", 1]]},
+            {"a->b": {"0": [[1]]}, "a -> b": {"0": [[2]]}},
+            "action 'a'->'b' is given twice",
+        ),
+        (
+            {"a": [["0", 1]], "b": [["1", 1]]},
+            {"a->b": {"0": [[1]], "0/1": [[2]]}},
+            "action 'a'->'b' gives grade 0 twice",
+        ),
+    ],
+    ids=["grade-twice", "grade-spellings", "pair-spellings", "action-grade-spellings"],
+)
+def test_duplicate_module_keys_are_invalid_input(
+    capsys, tmp_path, command, components, actions, detail
+):
+    # each kept only the last value before, so the result hung on key order
+    space = {"points": ["a", "b"], "dist": [["0", "1"], ["inf", "0"]]}
+    p = tmp_path / "mod.json"
+    p.write_text(json.dumps({"space": space, "components": components, "actions": actions}))
+    err = _error(*run(capsys, command, str(p)))
+    assert err == {"error": "InvalidInput", "detail": detail}
+
+
 def test_mutated_inputs_never_raise(capsysbinary, tmp_path):
     # seeded truncations and one-character edits of small valid files: every
     # run exits 0, or 1 with the structured error (or validate's own report)

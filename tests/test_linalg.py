@@ -405,6 +405,53 @@ def test_prime_field_reduces_fractions():
         assert solve_in_span(cols, [target], gf3) == [expected]
 
 
+def test_add_at_drops_the_pivot_memo():
+    # diag(2, 3) has Smith form diag(1, 6); 1 more at (1, 1) makes it diag(2, 4)
+    gf2 = PrimeField(2)
+    for first, before in ((snf, [1, 6]), (lambda m: rank_over_field(m, gf2), 1)):
+        mat = M([[2, 0], [0, 3]])
+        assert first(mat) == before
+        mat.add_at(1, 1, 1)
+        assert snf(mat) == [2, 4]
+        assert rank_over_field(mat, gf2) == 0
+        assert rank_over_field(mat, QQ) == 2
+
+
+def test_snf_result_is_the_callers_own():
+    for mat, factors in ((M([[2, 0], [0, 3]]), [1, 6]), (SparseMatrix.identity(2), [1, 1])):
+        got = snf(mat)
+        got[0] = 7
+        got.append(5)
+        assert snf(mat) == factors
+        assert rank_over_field(mat, QQ) == 2
+
+
+def test_prime_field_check_runs_after_the_memo_is_filled():
+    mat = M([[Fraction(1, 3), 1], [0, 2]])
+    assert rank_over_field(mat, QQ) == 2
+    with pytest.raises(InvalidField, match="GF\\(3\\)"):
+        rank_over_field(mat, PrimeField(3))
+    # 1/3 is 1 in GF(2), so the rows are [1, 1] and [0, 0]
+    assert rank_over_field(mat, PrimeField(2)) == 1
+
+
+def test_memoized_boundaries_match_fresh_copies():
+    space = digraph_to_space(random_digraph(8, 1, 0.35))
+    fields = (QQ, PrimeField(2), PrimeField(3))
+    for g in range(5):
+        cx = magnitude_complex(space, g, 4)
+        for n in range(cx.n_max + 1):
+            cx.homology(n)
+        for d in cx.maps:
+            assert d._pivots is not None
+            fresh = SparseMatrix(d.rows, d.cols, d.entries)
+            assert fresh._pivots is None
+            assert snf(d) == snf(fresh)
+            for fld in fields:
+                fresh = SparseMatrix(d.rows, d.cols, d.entries)
+                assert rank_over_field(d, fld) == rank_over_field(fresh, fld), (g, fld)
+
+
 def test_kernel_basis_over_field_and_span():
     mat = M([[1, 1, 0], [0, 0, 0]])
     basis = kernel_basis_over_field(mat, QQ)

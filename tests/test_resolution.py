@@ -329,6 +329,71 @@ def test_resolution_too_short_errors():
         resolution_homology(res, 2, 0)
 
 
+def test_shared_resolution_matches_a_fresh_one_per_query():
+    space = c3()
+    fields = (QQ, PrimeField(2))
+    for module in (random_module(space, 2), shift_module(random_module(space, 3), Fraction(-1))):
+        left = bar_resolution(space, "left", 3, 7)
+        right = bar_resolution(space, "right", 3, 7)
+        for g in range(-1, 4):
+            for n in range(3):
+                fresh = bar_resolution(space, "left", 3, 7)
+                assert tor_bidegree(space, module, n, g, resolution=left) == tor_bidegree(
+                    space, module, n, g, resolution=fresh
+                ), (n, g)
+                for fld in fields:
+                    fresh = bar_resolution(space, "right", 3, 7)
+                    assert ext_bidegree(space, module, n, g, fld, resolution=right) == ext_bidegree(
+                        space, module, n, g, fld, resolution=fresh
+                    ), (n, g, fld)
+
+
+def test_modules_alternating_on_one_resolution_keep_their_own_values():
+    space = c3()
+    modules = (trivial_module(space, 0, 1), trivial_module(space, 0, 2))
+
+    def values(module, n, left, right):
+        return (
+            tor_bidegree(space, module, n, 1, resolution=left),
+            ext_bidegree(space, module, n, 1, QQ, resolution=right),
+        )
+
+    def fresh(module, n):
+        left, right = bar_resolution(space, "left", 3, 1), bar_resolution(space, "right", 3, 1)
+        return values(module, n, left, right)
+
+    expected = [[fresh(module, n) for n in range(3)] for module in modules]
+    assert expected[0] != expected[1]
+    left = bar_resolution(space, "left", 3, 1)
+    right = bar_resolution(space, "right", 3, 1)
+    for n in (0, 1, 2, 1, 0):
+        for module, want in zip(modules, expected):
+            assert values(module, n, left, right) == want[n], n
+
+
+def test_checks_run_when_the_module_complex_is_reused():
+    space = c3()
+    module = trivial_module(space, 0, 1)
+    queries = {
+        "left": lambda s, n, res: tor_bidegree(s, module, n, 1, resolution=res),
+        "right": lambda s, n, res: ext_bidegree(s, module, n, 1, QQ, resolution=res),
+    }
+    for side, query in queries.items():
+        res = bar_resolution(space, side, 3, 1)
+        query(space, 1, res)
+        # each query below would hit the complex cached for (module, grade 1)
+        for n in (3, -1):
+            with pytest.raises(ResolutionTooShort):
+                query(space, n, res)
+        with pytest.raises(UnvalidatedModule, match="different space"):
+            query(k2(), 1, res)
+        module.validated = False
+        with pytest.raises(UnvalidatedModule, match="validate_module"):
+            query(space, 1, res)
+        module.validated = True
+        query(space, 1, res)
+
+
 def test_module_or_resolution_over_another_space_is_rejected():
     from maghom.gen import random_space
 
