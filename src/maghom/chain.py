@@ -41,9 +41,9 @@ def _walks(space: QuasimetricSpace, n: int, cap: int, normalized: bool):
     Built one step at a time; each level keeps lexicographic order because
     every prefix is extended by its next points in increasing order.  A
     prefix is dropped once the steps it still needs, each at least the
-    least allowed step, cannot fit under the cap.  A negative n has none.
+    least allowed step, cannot fit under the cap.  A negative n or cap has none.
     """
-    if n < 0:
+    if n < 0 or cap < 0:
         return []
     steps = space.steps(distinct=normalized)
     least = min((d for row in steps for _, d in row), default=0) if normalized else 0
@@ -66,10 +66,7 @@ def enumerate_tuples(space: QuasimetricSpace, n: int, grade, normalized: bool = 
     distance is finite.  The basis order of every complex comes from here,
     so identical inputs always give identical matrices.
     """
-    grade = parse_dist(grade)
-    if grade is INF or grade < 0:
-        return []
-    target = space.to_units(grade)
+    target = space.to_units(parse_dist(grade))
     if target is None:
         return []
     return [t for t, u in _walks(space, n, target, normalized) if u == target]
@@ -78,7 +75,7 @@ def enumerate_tuples(space: QuasimetricSpace, n: int, grade, normalized: bool = 
 def tuples_up_to_grade(space: QuasimetricSpace, n: int, cap, normalized: bool = True):
     """All (n+1)-point tuples of grade <= cap, as (tuple, grade) pairs, sorted."""
     cap = parse_dist(cap)
-    if cap is INF or cap < 0:
+    if cap is INF:
         return []
     pairs = _walks(space, n, space.floor_units(cap), normalized)
     grades = {u: space.grade_of(u) for u in {u for _, u in pairs}}

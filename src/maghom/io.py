@@ -62,17 +62,25 @@ def load_module(data, base_dir: Path | None = None) -> tuple[QuasimetricSpace, D
     space = load_space(ref) if "points" in ref else digraph_to_space(load_digraph(ref))
     components = {
         space.idx(label): _by_grade(pairs, f"point {label!r}")
-        for label, pairs in data.get("components", {}).items()
+        for label, pairs in _object(data.get("components", {}), "components").items()
     }
     actions = {}
-    for key, per_grade in data.get("actions", {}).items():
+    for key, per_grade in _object(data.get("actions", {}), "actions").items():
         x, _, y = key.partition("->")
         x, y = x.strip(), y.strip()
         pair = (space.idx(x), space.idx(y))
         if pair in actions:
             raise InvalidInput(f"action {x!r}->{y!r} is given twice")
-        actions[pair] = _by_grade(per_grade.items(), f"action {x!r}->{y!r}")
+        where = f"action {x!r}->{y!r}"
+        actions[pair] = _by_grade(_object(per_grade, where).items(), where)
     return space, DistanceModule(space, components, actions)
+
+
+def _object(value, where) -> dict:
+    """A JSON object, or InvalidInput naming where one was expected."""
+    if not isinstance(value, dict):
+        raise InvalidInput(f"{where} must be a JSON object")
+    return value
 
 
 def _by_grade(pairs, where) -> dict:

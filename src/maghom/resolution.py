@@ -10,6 +10,9 @@ Each degree also carries a free-module decomposition: the generator for an
 (n+1)-tuple a = (x_0..x_n) is the basis tuple with the kept end doubled, and
 the differential written on generators has coefficients in the algebra; the
 differential on the tuple basis, one complex per grade, is read off it.
+The generator lengths are walked when a resolution is built, grouped by
+grade in integer units of 1/D; the one longer length that only the full
+basis of the top degree holds is walked on first use.
 Tensoring a right module against the left resolution and Hom-ing the right
 resolution into a right module then reduce to finite integer matrices,
 giving a computation of Tor and Ext independent of the chain-complex route.
@@ -19,10 +22,10 @@ maps that the same builder assembles on the right resolution.
 
 from __future__ import annotations
 
-from .chain import BasedComplex, tuples_up_to_grade
-from .errors import ResolutionTooShort, SpaceMismatch, UnvalidatedModule
+from .chain import BasedComplex, _walks
+from .errors import InvalidInput, ResolutionTooShort, SpaceMismatch, UnvalidatedModule
 from .linalg import HomologySummary, SparseMatrix, check_field
-from .space import QuasimetricSpace, parse_dist
+from .space import INF, QuasimetricSpace, parse_dist
 
 
 class BarResolution:
@@ -35,26 +38,45 @@ class BarResolution:
         self.side = side
         self.n_max = n_max
         self.l_max = parse_dist(l_max)
-        # one walk list per arity k = 0..n_max+1: (k+1)-tuples of total
-        # grade <= l_max and their grade -> indices groups in tuple order.
+        if self.l_max is INF:
+            raise InvalidInput("l_max must be finite")
+        self._cap = space.floor_units(self.l_max)
         # Degree n is free on the (n+1)-tuples (kept end doubled) and has the
-        # (n+2)-tuples as its full basis, so generators read arities
-        # 0..n_max and the basis reads 1..n_max+1.
-        tuples, self._groups = [], []
-        for k in range(n_max + 2):
-            pairs = tuples_up_to_grade(space, k, self.l_max, normalized=False)
-            groups = {}
-            for i, (_, g) in enumerate(pairs):
-                groups.setdefault(g, []).append(i)
-            tuples.append([t for t, _ in pairs])
-            self._groups.append(groups)
-        self.gens, self.basis = tuples[:-1], tuples[1:]
+        # (n+2)-tuples as its full basis.  The generators, lengths 0..n_max,
+        # are all that Tor and Ext read, so only they are walked here; the
+        # top length n_max+1 is walked on the first read of the full basis.
+        # Each length keeps its units -> indices groups in tuple order.
+        lengths = [self._length(k) for k in range(n_max + 1)]
+        self.gens = [tuples for tuples, _ in lengths]
+        self._groups = [groups for _, groups in lengths]
+        self._top = None
         self.gen_index = [{t: i for i, t in enumerate(ts)} for ts in self.gens]
         self._complexes = {}
         self._gen_terms = {}
         # (module, grade, complex): the module complex that the last Tor or
         # Ext query built, which every degree of that grade reads
         self._module_complex = None
+
+    def _length(self, k: int):
+        """The (k+1)-tuples of grade <= l_max in lexicographic order, and
+        their grade groups: units of 1/D -> indices."""
+        pairs = _walks(self.space, k, self._cap, normalized=False)
+        groups = {}
+        for i, (_, u) in enumerate(pairs):
+            groups.setdefault(u, []).append(i)
+        return [t for t, _ in pairs], groups
+
+    def _top_length(self):
+        """Degree n_max's full basis and its groups, walked once, on first use."""
+        if self._top is None:
+            self._top = self._length(self.n_max + 1)
+        return self._top
+
+    @property
+    def basis(self):
+        """Full tuple basis per degree 0..n_max: degree n's list is the
+        degree-(n+1) generator list, and the top one is walked on first read."""
+        return self.gens[1:] + [self._top_length()[0]]
 
     def _check_degree(self, n: int, low: int):
         if not low <= n <= self.n_max:
@@ -90,16 +112,17 @@ class BarResolution:
         return mat
 
     def _basis_groups(self, n: int):
-        """grade -> indices of the degree-n basis tuples of that grade."""
+        """units -> indices of the degree-n basis tuples of that grade."""
         self._check_degree(n, 0)
-        return self._groups[n + 1]
+        return self._groups[n + 1] if n < self.n_max else self._top_length()[1]
 
     def degree_grades(self, n: int):
-        return sorted(self._basis_groups(n))
+        return [self.space.grade_of(u) for u in sorted(self._basis_groups(n))]
 
     def basis_at_grade(self, n: int, grade):
         """Indices of degree-n basis tuples of exactly this grade (a fresh list)."""
-        return list(self._basis_groups(n).get(parse_dist(grade), ()))
+        units = self.space.to_units(parse_dist(grade))
+        return list(self._basis_groups(n).get(units, ()))
 
     def complex_at(self, grade) -> BasedComplex:
         """The resolution's tuple complex at one grade, built lazily per degree.
@@ -110,9 +133,10 @@ class BarResolution:
         """
         grade = parse_dist(grade)
         if grade not in self._complexes:
+            units = self.space.to_units(grade)
             self._complexes[grade] = BasedComplex(
                 self.n_max - 1,
-                lambda n: [self.basis[n][i] for i in self._basis_groups(n).get(grade, ())],
+                lambda n: [self.basis[n][i] for i in self._basis_groups(n).get(units, ())],
                 self._tuple_boundary,
                 grade=grade,
             )
@@ -193,10 +217,11 @@ def _components(res, module, k, grade):
     sign, end = (-1, 0) if res.side == "left" else (1, -1)
     groups = res._groups[k]
     gens = res.gens[k]
+    to_units = res.space.to_units
     found = []
     for h in module.grades():
         ranks = [module.rank_at(x, h) for x in range(len(module.space))]
-        for gi in groups.get(grade + sign * h, ()):
+        for gi in groups.get(to_units(grade + sign * h), ()):
             for j in range(ranks[gens[gi][end]]):
                 found.append((gi, h, j))
     found.sort()
@@ -253,9 +278,12 @@ def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
     sign = -1 if side == "left" else 1
     needed = grade + max((sign * h for h in module.grades()), default=0)
     if resolution is None:
-        resolution = bar_resolution(space, side, n + 1, max(needed, 0))
+        # no tuple has an infinite grade: any truncation reads that complex as zero
+        resolution = bar_resolution(space, side, n + 1, 0 if needed is INF else max(needed, 0))
     elif resolution.space is not space and resolution.space != space:
         raise SpaceMismatch("resolution lives over a different space")
+    else:
+        resolution.check_grade_fit(needed)
     if resolution.side != side:
         functor = "Tor" if side == "left" else "Ext"
         raise ResolutionTooShort(f"{functor} needs a {side} resolution")
@@ -263,7 +291,6 @@ def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
         raise ResolutionTooShort(
             f"homological degree {n} outside 0..{resolution.n_max - 1} of the resolution"
         )
-    resolution.check_grade_fit(needed)
     cached = resolution._module_complex
     if cached is not None and cached[0] is module and cached[1] == grade:
         return cached[2]

@@ -149,7 +149,9 @@ class QuasimetricSpace:
         return self.dist[self.idx(x)][self.idx(y)]
 
     def to_units(self, grade):
-        """A finite grade in units of 1/D; None when it is off the lattice."""
+        """A grade in units of 1/D; None when it is infinite or off the lattice."""
+        if grade is INF:
+            return None
         scaled = grade * self.denom
         return int(scaled) if scaled.denominator == 1 else None
 

@@ -527,6 +527,27 @@ def test_duplicate_module_keys_are_invalid_input(
     assert err == {"error": "InvalidInput", "detail": detail}
 
 
+@pytest.mark.parametrize(
+    "fields, detail",
+    [
+        ({"actions": [1]}, "actions must be a JSON object"),
+        ({"components": [1]}, "components must be a JSON object"),
+        (
+            {"components": {"a": [["0", 1]], "b": [["1", 1]]}, "actions": {"a->b": [[1]]}},
+            "action 'a'->'b' must be a JSON object",
+        ),
+    ],
+    ids=["actions-list", "components-list", "action-grades-list"],
+)
+def test_module_lists_in_place_of_objects_are_invalid_input(capsys, tmp_path, fields, detail):
+    # each ended in an AttributeError traceback before
+    space = {"points": ["a", "b"], "dist": [["0", "1"], ["inf", "0"]]}
+    p = tmp_path / "mod.json"
+    p.write_text(json.dumps({"space": space, **fields}))
+    err = _error(*run(capsys, "validate", str(p)))
+    assert err == {"error": "InvalidInput", "detail": detail}
+
+
 def test_mutated_inputs_never_raise(capsysbinary, tmp_path):
     # seeded truncations and one-character edits of small valid files: every
     # run exits 0, or 1 with the structured error (or validate's own report)

@@ -58,13 +58,67 @@ def test_walk_lists_match_exhaustive_oracle():
 
 
 def test_grade_lookups_match_full_scans():
-    for _, res in _walk_list_cases():
-        for n in range(res.n_max + 1):
-            grades = [walk_grade(res.space, t) for t in res.basis[n]]
+    for space, res in _walk_list_cases():
+        # top degree first, so the lookups walk the top length before any
+        # read of the full basis does
+        for n in reversed(range(res.n_max + 1)):
+            full = exhaustive_tuples_up_to(space, n + 1, res.l_max, normalized=False)
+            grades = [h for _, h in full]
             assert res.degree_grades(n) == sorted(set(grades))
             for g in res.degree_grades(n) + [Fraction(1, 3), Fraction(-1), INF]:
-                assert res.basis_at_grade(n, g) == [k for k, h in enumerate(grades) if h == g]
+                expected = [k for k, h in enumerate(grades) if h == g]
+                assert res.basis_at_grade(n, g) == expected, (n, g)
+                assert res.complex_at(g).basis(n) == [full[k][0] for k in expected], (n, g)
             assert res.basis_at_grade(n, Fraction(1, 3)) == []
+
+
+def test_edge_grades_match_fraction_oracles():
+    # D = 2 with unreachable pairs; grades inf, -1 and 1/3 lie off the
+    # tuple lattice, and modules shifted by thirds bring 1/3 and 4/3 back
+    # onto it
+    from maghom.gen import random_space
+
+    space = random_space(4, 37)
+    assert space.denom == 2
+    x = space.points[0]
+    modules = (
+        trivial_module(space, 0, 1),
+        shift_module(representable_module(space, x), Fraction(1, 3)),
+        direct_sum(trivial_module(space, Fraction(-1, 3), 1), trivial_module(space, 1, 2)),
+    )
+    left = bar_resolution(space, "left", 3, 3)
+    right = bar_resolution(space, "right", 3, 3)
+    grades = (INF, Fraction(-1), Fraction(1, 3), Fraction(4, 3), Fraction(3, 2))
+    assert _components(left, modules[1], 1, Fraction(4, 3))
+    assert _components(right, modules[2], 0, Fraction(1, 3))
+    for module in modules:
+        for g in grades:
+            for k in range(4):
+                tor = [(gi, j) for gi, _, j in _components(left, module, k, g)]
+                ext = [(gi, j) for gi, _, j in _components(right, module, k, g)]
+                if g is INF:
+                    assert tor == ext == []
+                else:
+                    assert tor == full_scan_tor_space(left, module, k, g), (module, g, k)
+                    assert ext == full_scan_ext_space(right, module, k, g), (module, g, k)
+            if g is INF:
+                # no tuple has an infinite grade: zero on a default resolution,
+                # and past any finite truncation
+                for n in range(3):
+                    assert tor_bidegree(space, module, n, g).is_zero()
+                    assert ext_bidegree(space, module, n, g, QQ) == 0
+                with pytest.raises(ResolutionTooShort):
+                    tor_bidegree(space, module, 0, g, resolution=left)
+                with pytest.raises(ResolutionTooShort):
+                    ext_bidegree(space, module, 0, g, QQ, resolution=right)
+                continue
+            chain = magnitude_complex_with_coefficients(space, module, g, 2)
+            dual = _coefficient_cochain_dims(space, module, g, 2, QQ)
+            for n in range(3):
+                tor = tor_bidegree(space, module, n, g, resolution=left)
+                want = chain.homology(n)
+                assert (tor.betti, tor.torsion) == (want.betti, want.torsion), (module, g, n)
+                assert ext_bidegree(space, module, n, g, QQ, resolution=right) == dual[n]
 
 
 def test_grade_lookups_return_fresh_lists():
@@ -106,18 +160,39 @@ def test_each_arity_is_enumerated_once(monkeypatch):
     import maghom.resolution as resolution
 
     arities = []
-    enumerate_walks = resolution.tuples_up_to_grade
+    walks = resolution._walks
 
-    def counted(space, n, cap, normalized=True):
+    def counted(space, n, cap, normalized):
         arities.append(n)
-        return enumerate_walks(space, n, cap, normalized)
+        return walks(space, n, cap, normalized)
 
-    monkeypatch.setattr(resolution, "tuples_up_to_grade", counted)
-    res = bar_resolution(c3(), "right", 3, 2)
-    assert arities == [0, 1, 2, 3, 4]
-    # the degree-n basis and the degree-(n+1) generators are one list
-    for n in range(res.n_max):
-        assert res.basis[n] is res.gens[n + 1]
+    monkeypatch.setattr(resolution, "_walks", counted)
+    space = c3()
+    module = trivial_module(space, 0, 1)
+    scans = {
+        "left": lambda res, n, g: tor_bidegree(space, module, n, g, resolution=res),
+        "right": lambda res, n, g: ext_bidegree(space, module, n, g, QQ, resolution=res),
+    }
+    for side, scan in scans.items():
+        arities.clear()
+        res = bar_resolution(space, side, 3, 2)
+        # the generators, lengths 0..n_max, are walked at construction
+        assert arities == [0, 1, 2, 3]
+        # a scan over every degree and grade reads only the generators
+        for g in range(3):
+            for n in range(res.n_max):
+                scan(res, n, g)
+        assert arities == [0, 1, 2, 3]
+        # the top length is walked on the first read of the full basis, once
+        top = res.basis[3]
+        assert arities == [0, 1, 2, 3, 4]
+        assert res.basis[3] is top
+        assert res.complex_at(2).basis(3) and res.degree_grades(3) and res.basis_at_grade(3, 2)
+        res.boundary(3)
+        assert arities == [0, 1, 2, 3, 4]
+        # the degree-n basis and the degree-(n+1) generators are one list
+        for n in range(res.n_max):
+            assert res.basis[n] is res.gens[n + 1]
 
 
 def test_boundaries_square_to_zero(suite):
@@ -437,6 +512,40 @@ def test_crosscheck_on_fractional_grades():
                 chain_h = cx.homology(n)
                 tor_h = tor_bidegree(space, triv, n, g, resolution=res)
                 assert (chain_h.betti, chain_h.torsion) == (tor_h.betti, tor_h.torsion)
+
+
+def test_infinite_truncation_is_rejected():
+    from maghom.errors import InvalidInput
+
+    for side in ("left", "right"):
+        for l_max in ("inf", INF):
+            with pytest.raises(InvalidInput, match="l_max must be finite"):
+                bar_resolution(c3(), side, 3, l_max)
+
+
+def test_tor_of_the_opposite_space_matches():
+    # X^op's left resolution walks X's tuples reversed, so its matrices are
+    # not X's; Tor of the trivial module must still agree, torsion included
+    from maghom.gen import random_space
+    from maghom.space import attainable_grades, opposite_space
+
+    grid = (Fraction(1, 2), Fraction(1), Fraction(3, 2), INF, INF)
+    spaces = [random_space(4, s) for s in range(5)]
+    spaces += [random_space(4, s, grid=grid) for s in (1, 6, 7)] + [random_space(4, 37)]
+    assert any(d is None for sp in spaces for row in sp.scaled for d in row)
+    compared = 0
+    for space in spaces:
+        op = opposite_space(space)
+        res = bar_resolution(space, "left", 3, 2)
+        res_op = bar_resolution(op, "left", 3, 2)
+        triv, triv_op = trivial_module(space, 0, 1), trivial_module(op, 0, 1)
+        for g in attainable_grades(space, 2):
+            for n in range(3):
+                h = tor_bidegree(space, triv, n, g, resolution=res)
+                h_op = tor_bidegree(op, triv_op, n, g, resolution=res_op)
+                assert (h.betti, h.torsion) == (h_op.betti, h_op.torsion), (space, n, g)
+                compared += 1
+    assert compared > 100
 
 
 def test_one_point_space_pipelines():
