@@ -87,8 +87,7 @@ def emit(report: dict, fmt: str) -> bytes:
     rows = report.get("rows", [])
     cells = [[str(row.get(c, "")) for c in columns] for row in rows]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(r) for r in cells]
+        lines = [",".join(map(_csv_cell, r)) for r in [columns] + cells]
         return ("\n".join(lines) + "\n").encode()
     widths = [
         max([len(c)] + [len(r[i]) for r in cells]) for i, c in enumerate(columns)
@@ -96,6 +95,14 @@ def emit(report: dict, fmt: str) -> bytes:
     lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
     lines += ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in cells]
     return ("\n".join(lines) + "\n").encode()
+
+
+def _csv_cell(text: str) -> str:
+    """A csv cell: quoted, its quotes doubled, when it holds a comma, a quote
+    or a line break (RFC 4180); any other cell as it is."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _check_format(fmt: str):
@@ -153,7 +160,7 @@ def cmd_validate(space, module, job):
                 "status": "invalid",
                 "columns": ["violation", "witness", "detail"],
                 "rows": [
-                    {"violation": v.kind, "witness": str(v.witness), "detail": v.detail}
+                    {"violation": v.kind, "witness": v.witness_text(), "detail": v.detail}
                     for v in problems
                 ],
             }

@@ -15,7 +15,7 @@ from numbers import Rational
 
 from .errors import InvalidInput, UnknownPoint, UnvalidatedModule
 from .linalg import QQ, SparseMatrix, integer_kernel_basis, rank_over_field, snf
-from .space import INF, QuasimetricSpace, parse_dist
+from .space import INF, QuasimetricSpace, format_dist, parse_dist
 
 
 def _zeros(rows, cols):
@@ -137,11 +137,16 @@ class DistanceModule:
 @dataclass(frozen=True)
 class ModuleViolation:
     kind: str  # ShapeMismatch | IdentityViolation | CompositionViolation
-    witness: tuple
+    witness: tuple  # point labels, then a grade
     detail: str
 
+    def witness_text(self) -> str:
+        """The witness with its grade as an exact string: (a, b, 3/2)."""
+        labels = (w if isinstance(w, str) else format_dist(w) for w in self.witness)
+        return "(" + ", ".join(labels) + ")"
+
     def __str__(self):
-        return f"{self.kind}{self.witness}: {self.detail}"
+        return f"{self.kind}{self.witness_text()}: {self.detail}"
 
 
 def validate_module(space: QuasimetricSpace, module: DistanceModule):

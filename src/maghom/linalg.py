@@ -429,22 +429,16 @@ def snf(matrix: SparseMatrix) -> list[int]:
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
 
     The pivot values of the diagonalization, fixed up into a divisibility
-    chain.  Unit pivots divide everything, so only the others enter the
-    fix-up.
+    chain by one (gcd, lcm) pass over the pairs i < j: for each prime that
+    pass is a selection sort of the valuations, so it ends on the unique
+    chain.  Unit pivots divide everything, so only the others enter it.
     """
     diag = _pivot_values(matrix)
     units = diag.count(1)
     diag = [d for d in diag if d != 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i] != 0:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
-    diag.sort()
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     return [1] * units + diag
 
 
@@ -641,23 +635,24 @@ def rank_over_field(matrix: SparseMatrix, fld) -> int:
     return sum(1 for d in _pivot_values(matrix) if p is None or d % p)
 
 
-def kernel_basis_over_field(matrix: SparseMatrix, fld) -> list[list]:
+def kernel_basis_over_field(matrix: SparseMatrix, fld) -> list[dict]:
     """Kernel basis of a matrix over a field: the reduced echelon one.
 
     Columns enter a span with their coordinates from last to first, so
     dependent column j yields a kernel vector with 1 at j, 0 at every other
     dependent column and the rest of its support on later columns.  That is
     the canonical reduced echelon basis (pivot = first nonzero entry); it is
-    returned pivots ascending, as dense vectors.
+    returned pivots ascending, each vector a sparse {column: value} dict with
+    its keys ascending and no zero stored.
     """
     span = FieldColumnSpan(fld)
-    one, zero = span.fld.of(1), span.fld.of(0)
+    one = span.fld.of(1)
     cols = sparse_columns(matrix, span.fld)
     kernel = []
     for j in reversed(range(matrix.cols)):
         coords = {j: one}
         if not span._insert(cols[j], coords):
-            kernel.append([coords.get(i, zero) for i in range(matrix.cols)])
+            kernel.append(dict(sorted(coords.items())))
     kernel.reverse()
     return kernel
 
@@ -667,9 +662,10 @@ def solve_in_span(columns, targets, fld):
 
     columns and targets: dense vectors or {row: value} dicts.  The columns
     enter one span once, in order, and every target is reduced against it;
-    the result holds one coefficient list per target, or None for a target
-    outside the span.  Of all solutions each is the one on the leftmost
-    independent columns: a column that depends on earlier ones gets 0.
+    the result holds one sparse {column: coefficient} dict per target (no
+    zero stored), or None for a target outside the span.  Of all solutions
+    each is the one on the leftmost independent columns: a column that
+    depends on earlier ones gets 0.
     """
     span = FieldColumnSpan(fld)
     fld = span.fld
@@ -679,7 +675,5 @@ def solve_in_span(columns, targets, fld):
     for target in targets:
         residue, coords = _sparse(target, fld), {}
         span._reduce(residue, coords)
-        solutions.append(
-            None if residue else [fld.of(-coords.get(j, 0)) for j in range(len(columns))]
-        )
+        solutions.append(None if residue else {j: fld.of(-c) for j, c in coords.items()})
     return solutions

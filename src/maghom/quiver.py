@@ -50,7 +50,7 @@ class QuiverRelations:
     r2: tuple  # (path, ...)
 
 
-def quiver_relations(graph: Digraph, max_length: int | None = None) -> QuiverRelations:
+def quiver_relations(graph: Digraph) -> QuiverRelations:
     """Enumerate R1 and R2 generators up to the natural length bound.
 
     Shortest paths never exceed the diameter; minimal non-shortest paths are
@@ -64,10 +64,9 @@ def quiver_relations(graph: Digraph, max_length: int | None = None) -> QuiverRel
         if space.d(i, j) is not INF
     ]
     diameter = max(finite) if finite else Fraction(0)
-    bound = int(diameter) + 1 if max_length is None else max_length
     r1 = []
     r2 = []
-    for length in range(2, bound + 1):
+    for length in range(2, int(diameter) + 2):
         groups = {}
         for p in paths_of_length(graph, length):
             if is_shortest(space, p):
@@ -122,12 +121,9 @@ class PresentationReport:
     dims: tuple  # ((grade, quotient_dim, pair_count), ...)
     admissible_exponent: int
     relations_inside_square: bool
-    power_vanishes: bool
 
     def ok(self):
-        return self.relations_inside_square and self.power_vanishes and all(
-            q == p for _, q, p in self.dims
-        )
+        return self.relations_inside_square and all(q == p for _, q, p in self.dims)
 
 
 def check_bound_quiver_presentation(graph: Digraph, l_max: int) -> PresentationReport:
@@ -135,8 +131,8 @@ def check_bound_quiver_presentation(graph: Digraph, l_max: int) -> PresentationR
 
     Also verifies the admissibility window: every relation has length >= 2,
     and all paths one longer than the longest shortest path reduce to zero.
-    Raises DimensionMismatch when a grade disagrees (that would indicate a
-    bug, not a property of the input).
+    Raises DimensionMismatch when a grade disagrees or that power does not
+    vanish (either would indicate a bug, not a property of the input).
     """
     space = digraph_to_space(graph)
     relations = quiver_relations(graph)
@@ -179,13 +175,11 @@ def check_bound_quiver_presentation(graph: Digraph, l_max: int) -> PresentationR
             raise DimensionMismatch(
                 f"paths of length {exponent} do not all reduce to zero"
             )
-    power_vanishes = True
     return PresentationReport(
         graph_vertices=graph.vertices,
         dims=tuple(dims),
         admissible_exponent=exponent,
         relations_inside_square=relations_inside_square,
-        power_vanishes=power_vanishes,
     )
 
 

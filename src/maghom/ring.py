@@ -77,11 +77,6 @@ class Cochain:
         return f"Cochain(n={self.n}, grade={self.grade}, {labels})"
 
 
-def cochain_from_vector(space, n, grade, fld, basis, vec) -> Cochain:
-    coeffs = {t: v for t, v in zip(basis, vec)}
-    return Cochain(space, n, grade, fld, coeffs)
-
-
 def cochain_vector(c: Cochain, basis):
     return [c.value(t) for t in basis]
 
@@ -89,14 +84,13 @@ def cochain_vector(c: Cochain, basis):
 def coboundary_of(c: Cochain) -> Cochain:
     """delta of a cochain, computed against the dual basis matrices."""
     cx = magnitude_cochain_complex(c.space, c.grade, c.n, c.fld)
-    basis_n = cx.basis(c.n)
+    col_of = {t: col for col, t in enumerate(cx.basis(c.n))}
+    vec = {col_of[t]: v for t, v in c.coeffs.items()}
     basis_np1 = cx.basis(c.n + 1)
-    vec = cochain_vector(c, basis_n)
-    mat = cx.coboundary(c.n)
     out = {}
-    for (r, col), v in mat.entries.items():
-        if vec[col] != 0:
-            out[basis_np1[r]] = c.fld.of(out.get(basis_np1[r], 0) + v * vec[col])
+    for (r, col), v in cx.coboundary(c.n).entries.items():
+        if col in vec:
+            out[basis_np1[r]] = out.get(basis_np1[r], 0) + v * vec[col]
     return Cochain(c.space, c.n + 1, c.grade, c.fld, out)
 
 
@@ -135,7 +129,7 @@ def cohomology_classes(space, n, grade, fld) -> CohomologyClassSet:
     reps = []
     for vec in kernel:
         if span.add(vec):
-            reps.append(cochain_from_vector(space, n, grade, fld, basis_n, vec))
+            reps.append(Cochain(space, n, grade, fld, {basis_n[i]: v for i, v in vec.items()}))
     return CohomologyClassSet(
         space=space,
         n=n,
@@ -153,24 +147,20 @@ def cup(psi: Cochain, phi: Cochain) -> Cochain:
         raise SpaceMismatch("cup factors live over different spaces")
     if psi.fld != phi.fld:
         raise SpaceMismatch("cup factors use different fields")
-    space, fld = psi.space, psi.fld
+    space = psi.space
+    # segment grades are pinned by the support invariant; re-checked here,
+    # once per segment
+    backs = {}
+    for back, b in phi.coeffs.items():
+        if tuple_grade(space, back) == phi.grade:
+            backs.setdefault(back[0], []).append((back, b))
+    # a product tuple splits into one (front, back) pair, so nothing is summed
     out = {}
     for front, a in psi.coeffs.items():
-        # segment grades are pinned by the support invariant; re-checked here
-        if tuple_grade(space, front) != psi.grade:
-            continue
-        for back, b in phi.coeffs.items():
-            if front[-1] != back[0]:
-                continue
-            if tuple_grade(space, back) != phi.grade:
-                continue
-            t = front + back[1:]
-            c = fld.of(out.get(t, 0) + a * b)
-            if c == 0:
-                out.pop(t, None)
-            else:
-                out[t] = c
-    return Cochain(space, psi.n + phi.n, psi.grade + phi.grade, fld, out)
+        if front[-1] in backs and tuple_grade(space, front) == psi.grade:
+            for back, b in backs[front[-1]]:
+                out[front + back[1:]] = a * b
+    return Cochain(space, psi.n + phi.n, psi.grade + phi.grade, psi.fld, out)
 
 
 def unit_cochain(space, fld) -> Cochain:
@@ -356,7 +346,7 @@ def ring_table(space, n_max: int, l_max, fld) -> RingTable:
                     {
                         "lhs": (m, s, i),
                         "rhs": (n, l, j),
-                        "result": [(v, k) for k, v in enumerate(result) if v != 0],
+                        "result": [(v, k) for k, v in sorted(result.items())],
                     }
                 )
     return RingTable(
@@ -368,12 +358,13 @@ def _class_coordinates(target: CohomologyClassSet, cochains, fld):
     """Expansions of cocycles in a class basis, modulo coboundaries.
 
     Each cochain's support maps straight to target rows; all of them are
-    reduced against one span of [representatives | coboundary columns].
+    reduced against one span of [representatives | coboundary columns], and
+    each expansion is a sparse {class index: coefficient} dict.
     """
     if not target.representatives and not target.coboundary_columns:
         if any(not c.is_zero() for c in cochains):
             raise NotACocycle("nonzero product in an empty bidegree")
-        return [[] for _ in cochains]
+        return [{} for _ in cochains]
     row_of = {t: r for r, t in enumerate(target.basis_tuples)}
 
     def rows(c: Cochain):
@@ -386,4 +377,4 @@ def _class_coordinates(target: CohomologyClassSet, cochains, fld):
     solutions = solve_in_span(reps + target.coboundary_columns, [rows(c) for c in cochains], fld)
     if any(sol is None for sol in solutions):
         raise NotACocycle("product is not a cocycle modulo coboundaries")
-    return [sol[: len(reps)] for sol in solutions]
+    return [{j: v for j, v in sol.items() if j < len(reps)} for sol in solutions]

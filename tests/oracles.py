@@ -123,6 +123,13 @@ def dense_snf(rows):
         if not dirty:
             factors.append(abs(A[top][top]))
             top += 1
+    return divisibility_chain_fixpoint(factors)
+
+
+def divisibility_chain_fixpoint(values):
+    """The invariant factors of diag(values): replace a pair (a, b) with
+    b % a != 0 by (gcd, lcm) until no such pair is left, then sort."""
+    factors = list(values)
     changed = True
     while changed:
         changed = False

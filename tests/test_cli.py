@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 from pathlib import Path
@@ -5,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from maghom import io as mio
-from maghom.cli import emit, main, parse_field_flag
+from maghom.cli import FORMATS, emit, main, parse_field_flag
 from maghom.errors import InvalidField, UnsupportedFormat
 from maghom.instances import directed_cycle, k2_digraph
 from maghom.linalg import QQ, PrimeField
@@ -103,6 +105,37 @@ def test_validate_module_reports_witness(capsys, tmp_path):
     assert code == 1
     report = json.loads(out)
     assert report["rows"][0]["violation"] == "ShapeMismatch"
+
+
+# a 1x2 action where a 1x1 one belongs, at the fractional grade 3/2
+BAD_ACTION = {
+    "space": {"points": ["a", "b"], "dist": [["0", "1/2"], ["inf", "0"]]},
+    "components": {"a": [["3/2", 1]], "b": [["2", 1]]},
+    "actions": {"a->b": {"3/2": [[1, 1]]}},
+}
+
+
+def test_csv_reads_back_as_the_report(capsys, tmp_path, k2_file):
+    # ring's lhs/rhs cells and validate's witness cells hold commas
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(BAD_ACTION))
+    for argv in (["ring", k2_file, "--nmax", "2", "--lmax", "2"], ["validate", str(bad)]):
+        report = json.loads(run(capsys, *argv, "--format", "json")[1])
+        _, out = run(capsys, *argv, "--format", "csv")
+        columns = report["columns"]
+        expected = [columns] + [[str(row[c]) for c in columns] for row in report["rows"]]
+        assert list(csv.reader(io.StringIO(out))) == expected
+        assert any("," in cell for row in expected for cell in row)
+
+
+def test_witness_grades_are_exact_strings(capsys, tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(BAD_ACTION))
+    outs = [run(capsys, "validate", str(p), "--format", fmt)[1] for fmt in FORMATS]
+    outs += [run(capsys, cmd, str(p), "--format", "json")[1] for cmd in ("mh", "tor", "ext")]
+    assert all("Fraction(" not in out for out in outs)
+    assert json.loads(outs[0])["rows"][0]["witness"] == "(a, b, 3/2)"
+    assert json.loads(outs[-1])["detail"].startswith("module invalid: ShapeMismatch(a, b, 3/2): ")
 
 
 def test_inv_coinv_on_module_file(capsys, tmp_path):

@@ -33,12 +33,23 @@ from oracles import (
     dense_rref,
     dense_snf,
     dense_solve,
+    divisibility_chain_fixpoint,
     reference_diagonalize,
 )
 
 
 def M(rows, **kw):
     return SparseMatrix.from_dense(rows, **kw)
+
+
+def sparse(vec):
+    """A dense oracle vector as the {index: value} dict the field routines
+    return, zeros dropped; None stays None."""
+    return None if vec is None else {i: x for i, x in enumerate(vec) if x}
+
+
+def sparse_kernel(rows, n, p=None):
+    return [sparse(v) for v in dense_kernel_rref(rows, n, p)]
 
 
 def test_xgcd():
@@ -71,6 +82,25 @@ def test_snf_divisibility_chain():
         assert factors == dense_snf(rows)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
+
+
+def test_snf_one_pass_matches_the_fixpoint_loop():
+    # snf of a diagonal matrix fixes up its entries, in order, into the chain;
+    # pivot lists share primes so that most of them need merging
+    rng = random.Random(13)
+    for _ in range(20000):
+        k = rng.randrange(0, 8)
+        pivots = [
+            rng.choice((1, -1))
+            * rng.choice((1, 2, 3, 5, 7))
+            * 2 ** rng.randrange(4)
+            * 3 ** rng.randrange(3)
+            for _ in range(k)
+        ]
+        mat = SparseMatrix(k, k)
+        for i, d in enumerate(pivots):
+            mat.add_at(i, i, d)
+        assert snf(mat) == divisibility_chain_fixpoint([abs(d) for d in pivots])
 
 
 def _random_unimodular(n, rng):
@@ -382,7 +412,7 @@ def test_prime_field_reduces_fractions():
     # 1/2 is 2 in GF(3), so the rows [2, 1] and [1, 2] are dependent
     mat = M([[F(1, 2), 1], [1, 2]])
     assert rank_over_field(mat, gf3) == 1
-    assert kernel_basis_over_field(mat, gf3) == [[1, 1]]
+    assert kernel_basis_over_field(mat, gf3) == [{0: 1, 1: 1}]
     with pytest.raises(InvalidField, match="GF\\(3\\)"):
         gf3.of(F(1, 3))
     with pytest.raises(InvalidField):
@@ -398,11 +428,11 @@ def test_prime_field_reduces_fractions():
         reduced = [[_mod(v, 3) for v in row] for row in rows]
         mat = M(rows)
         assert rank_over_field(mat, gf3) == len(dense_rref(reduced, 3)[1])
-        assert kernel_basis_over_field(mat, gf3) == dense_kernel_rref(reduced, n, 3)
+        assert kernel_basis_over_field(mat, gf3) == sparse_kernel(reduced, n, 3)
         cols = [list(c) for c in zip(*rows)]
         target = [F(rng.randrange(-3, 4), rng.choice((1, 2))) for _ in range(m)]
         expected = dense_solve([list(c) for c in zip(*reduced)], [_mod(t, 3) for t in target], 3)
-        assert solve_in_span(cols, [target], gf3) == [expected]
+        assert solve_in_span(cols, [target], gf3) == [sparse(expected)]
 
 
 def test_add_at_drops_the_pivot_memo():
@@ -455,7 +485,7 @@ def test_memoized_boundaries_match_fresh_copies():
 def test_kernel_basis_over_field_and_span():
     mat = M([[1, 1, 0], [0, 0, 0]])
     basis = kernel_basis_over_field(mat, QQ)
-    assert basis == [[1, -1, 0], [0, 0, 1]]
+    assert basis == [{0: 1, 1: -1}, {2: 1}]
     span = FieldColumnSpan(QQ)
     for v in basis:
         assert span.add(v)
@@ -477,7 +507,9 @@ def test_kernel_is_the_reduced_echelon_basis():
         for _ in range(40):
             m, n = rng.randrange(1, 5), rng.randrange(1, 7)
             rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)]
-            assert kernel_basis_over_field(M(rows), fld) == dense_kernel_rref(rows, n, p)
+            kernel = kernel_basis_over_field(M(rows), fld)
+            assert kernel == sparse_kernel(rows, n, p)
+            assert all(list(v) == sorted(v) for v in kernel)
 
 
 def test_span_keeps_reduced_echelon_form():
@@ -494,11 +526,11 @@ def test_span_keeps_reduced_echelon_form():
 def test_solve_in_span():
     cols = [[1, 0, 1], [0, 1, 1]]
     sol, outside = solve_in_span(cols, [[2, 3, 5], [1, 0, 0]], QQ)
-    assert sol == [Fraction(2), Fraction(3)]
+    assert sol == {0: Fraction(2), 1: Fraction(3)}
     assert outside is None
     # a duplicated column and a dependent one get coefficient 0
     cols = [[1, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 2]]
-    assert solve_in_span(cols, [[2, 3, 5]], QQ) == [[2, 0, 3, 0]]
+    assert solve_in_span(cols, [[2, 3, 5]], QQ) == [{0: 2, 2: 3}]
 
 
 def test_solve_in_span_matches_gauss_jordan():
@@ -514,7 +546,7 @@ def test_solve_in_span_matches_gauss_jordan():
             inside = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(m)]
             outside = [rng.randrange(-3, 4) for _ in range(m)]
             expected = [dense_solve(cols, t, p) for t in (inside, outside)]
-            assert solve_in_span(cols, [inside, outside], fld) == expected
+            assert solve_in_span(cols, [inside, outside], fld) == [sparse(e) for e in expected]
             assert expected[0] is not None
 
 
@@ -537,7 +569,7 @@ def test_solve_in_span_mixed_batch():
             mixed = [
                 t if k % 2 else {i: x for i, x in enumerate(t) if x} for k, t in enumerate(targets)
             ]
-            assert solve_in_span(cols, mixed, fld) == expected
+            assert solve_in_span(cols, mixed, fld) == [sparse(e) for e in expected]
             assert expected[0] == [0] * len(cols)
             outside += expected.count(None)
     assert outside > 0

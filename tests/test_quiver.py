@@ -63,7 +63,7 @@ def test_relation_structure_properties(suite_digraphs):
 def test_presentation_c3():
     report = check_bound_quiver_presentation(directed_cycle(3), 4)
     assert report.dims == ((0, 3, 3), (1, 3, 3), (2, 3, 3), (3, 0, 0), (4, 0, 0))
-    assert report.relations_inside_square and report.power_vanishes
+    assert report.relations_inside_square
     assert report.admissible_exponent == 3
     assert report.ok()
 
@@ -143,8 +143,8 @@ def test_presentation_mismatch_raises_on_corrupted_relations(monkeypatch):
 
     real = quiver_mod.quiver_relations
 
-    def missing_r2(graph, max_length=None):
-        rel = real(graph, max_length)
+    def missing_r2(graph):
+        rel = real(graph)
         return type(rel)(r1=rel.r1, r2=())
 
     monkeypatch.setattr(quiver_mod, "quiver_relations", missing_r2)

@@ -389,7 +389,7 @@ def test_class_coordinates_rejects_nonzero_cochain_in_empty_bidegree():
     target = cohomology_classes(s, 1, 2, QQ)
     assert target.basis_tuples and not target.representatives and not target.coboundary_columns
     zero = Cochain(s, 1, 2, QQ, {})
-    assert _class_coordinates(target, [zero], QQ) == [[]]
+    assert _class_coordinates(target, [zero], QQ) == [{}]
     with pytest.raises(NotACocycle, match="empty bidegree"):
         _class_coordinates(target, [zero, duals(s, 1, 2)[0]], QQ)
 
