@@ -41,7 +41,8 @@ def _walks(space: QuasimetricSpace, n: int, cap: int, normalized: bool):
     Built one step at a time; each level keeps lexicographic order because
     every prefix is extended by its next points in increasing order.  A
     prefix is dropped once the steps it still needs, each at least the
-    least allowed step, cannot fit under the cap.  A negative n or cap has none.
+    least allowed step, cannot fit under the cap, and an empty level ends
+    the walk at once.  A negative n or cap has none.
     """
     if n < 0 or cap < 0:
         return []
@@ -49,6 +50,8 @@ def _walks(space: QuasimetricSpace, n: int, cap: int, normalized: bool):
     least = min((d for row in steps for _, d in row), default=0) if normalized else 0
     level = [((i,), 0) for i in range(len(space))]
     for left in range(n - 1, -1, -1):
+        if not level:
+            return []
         bound = cap - left * least
         level = [
             (t + (j,), u + d)

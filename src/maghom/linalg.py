@@ -132,17 +132,19 @@ class SparseMatrix:
     Values are exact scalars (int or Fraction).  Integer-only routines such
     as snf() assume int entries.  The pivot values of the matrix's Smith
     elimination are kept on it once snf() or rank_over_field() has run, so
-    each matrix is eliminated once; add_at() drops them.  Write `entries`
+    each matrix is eliminated once, beside the columns that elimination
+    cleared (see `homology_at`); add_at() drops both.  Write `entries`
     directly only on a matrix that nothing has eliminated yet.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_pivots")
+    __slots__ = ("rows", "cols", "entries", "_pivots", "_cleared")
 
     def __init__(self, rows: int, cols: int, entries=None):
         self.rows = rows
         self.cols = cols
         self.entries = {}
         self._pivots = None
+        self._cleared = ()
         if entries:
             for (r, c), v in entries.items():
                 self.add_at(r, c, v)
@@ -170,6 +172,7 @@ class SparseMatrix:
         if v == 0:
             return
         self._pivots = None
+        self._cleared = ()
         key = (r, c)
         new = self.entries.get(key, 0) + v
         if new == 0:
@@ -382,7 +385,7 @@ def _components(rows, cols) -> list[list]:
     return blocks
 
 
-def _diagonalize(matrix: SparseMatrix, track=None):
+def _diagonalize(matrix: SparseMatrix, track=None, cleared=None):
     """Pivot values and pivot columns of a sparse Smith elimination.
 
     The matrix is held once as rows and as columns (`_lines`) and eliminated
@@ -397,12 +400,23 @@ def _diagonalize(matrix: SparseMatrix, track=None):
     just skips it.  This is the only integer elimination loop; track, when
     given, is a list of one sparse vector per column that receives every
     column operation, turning a seeded identity into Q.
+
+    cleared, when given, is a list that receives the pivot columns of every
+    block whose pivots all had |v| = 1 when `_pick_pivot` chose them.  Such a
+    block's column operations are all col_j -= q.col_c0 with c0 a pivot
+    column, so each kernel vector of the block is e_j plus a part on those
+    pivot columns, and projecting the kernel away from them is an
+    isomorphism onto a direct summand.  A pivot that only ends at 1 does not
+    qualify: [[2, 3]] reaches pivot 1 through a gcd step that mixes both
+    columns, and its kernel (3, -2) does not project onto a summand.
     """
     rows, cols = _lines(matrix)
     values, pivot_cols = [], []
     for block in _components(rows, cols):
+        first, units = len(pivot_cols), True
         while (pivot := _pick_pivot(block, rows, cols)) is not None:
             r0, c0 = pivot
+            units = units and abs(rows[r0][c0]) == 1
             while True:
                 _clear(rows, cols, r0, c0)
                 if len(rows[r0]) == 1:
@@ -414,14 +428,23 @@ def _diagonalize(matrix: SparseMatrix, track=None):
             values.append(abs(rows[r0][c0]))
             pivot_cols.append(c0)
             del rows[r0], cols[c0]
+        if units and cleared is not None:
+            cleared.extend(pivot_cols[first:])
     return values, pivot_cols
 
 
 def _pivot_values(matrix: SparseMatrix) -> tuple[int, ...]:
     """The pivot values of the matrix's Smith elimination, its columns
-    cleared of denominators first; eliminated once and kept on the matrix."""
+    cleared of denominators first; eliminated once and kept on the matrix.
+
+    The cleared pivot columns (see `_diagonalize`) are kept beside them when
+    the matrix was integral as given; a column-scaled matrix has another
+    kernel, so it records none."""
     if matrix._pivots is None:
-        matrix._pivots = tuple(_diagonalize(_integral_columns(matrix))[0])
+        integral = _integral_columns(matrix)
+        cleared = [] if integral is matrix else None
+        matrix._pivots = tuple(_diagonalize(integral, cleared=cleared)[0])
+        matrix._cleared = tuple(cleared or ())
     return matrix._pivots
 
 
@@ -484,6 +507,20 @@ def homology_at(d_n: SparseMatrix, d_np1: SparseMatrix, dim_n: int, n=0, grade=F
     betti = dim_n - rank d_n - rank d_{n+1}; torsion is read from the Smith
     form of d_{n+1} alone, valid because the chain groups are free on the
     given bases.
+
+    Clearing (the persistence "twist": Chen-Kerber 2011, Bauer-Kerber-
+    Reininghaus 2014): the columns of d_n that its elimination cleared
+    (see `_diagonalize`) index rows of d_{n+1}, and those rows are dropped
+    before d_{n+1} is eliminated.  The image of d_{n+1} lies in ker d_n,
+    a direct summand, and projecting ker d_n away from the cleared columns
+    is an isomorphism onto a direct summand, so the smaller matrix has the
+    same Smith form: the same torsion and the same rank over QQ and every
+    GF(p).  Its pivots become the memo of d_{n+1}, and its cleared columns
+    clear d_{n+2} in turn, since its kernel is ker d_{n+1}.  The rule needs
+    every pivot of a block to be a unit when chosen: for d_n = [[2, 3]] and
+    d_{n+1} = [[-3], [2]] the pivot 2 ends at 1 only through a gcd step,
+    and dropping row 0 would turn the Smith form [1] into [2].  The shape
+    and d_n.d_{n+1} = 0 checks run on the matrices as given.
     """
     if d_n.cols != dim_n or d_np1.rows != dim_n:
         raise NotAComplex(
@@ -491,8 +528,16 @@ def homology_at(d_n: SparseMatrix, d_np1: SparseMatrix, dim_n: int, n=0, grade=F
         )
     if not d_n.matmul(d_np1).is_zero():
         raise NotAComplex("d_n . d_(n+1) != 0")
-    factors = snf(d_np1)
-    betti = dim_n - rank_over_field(d_n, QQ) - len(factors)
+    rank_n = rank_over_field(d_n, QQ)
+    if d_np1._pivots is None and d_n._cleared:
+        drop = set(d_n._cleared)
+        kept = SparseMatrix(d_np1.rows, d_np1.cols)
+        kept.entries = {k: v for k, v in d_np1.entries.items() if k[0] not in drop}
+        factors = snf(kept)
+        d_np1._pivots, d_np1._cleared = kept._pivots, kept._cleared
+    else:
+        factors = snf(d_np1)
+    betti = dim_n - rank_n - len(factors)
     torsion = tuple(d for d in factors if d > 1)
     return HomologySummary(n=n, grade=grade, betti=betti, torsion=torsion)
 

@@ -9,7 +9,7 @@ which the package picks its pivots.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from maghom.linalg import SparseMatrix, _clear
 
@@ -83,6 +83,41 @@ def exhaustive_grades(space, cap):
     for k in range(1, longest + 1):
         grades.update(total for _, total in _raw_walks(space, k, True) if total <= cap)
     return sorted(grades)
+
+
+def walk_count_euler_characteristic(space, grade):
+    """Sum over k of (-1)^k times the number of normalized k-step walks of
+    exactly the given grade: the Euler characteristic of the grade-l chain
+    complex, counted without building a tuple.
+
+    An integer DP over (endpoint, grade units) read from space.d alone; a
+    unit is 1 over the lcm of the finite distances' denominators.  A step
+    between distinct points is positive, so every walk ends under the grade.
+    """
+    from maghom.space import INF
+
+    n = len(space)
+    steps = [(i, j, Fraction(space.d(i, j))) for i in range(n) for j in range(n)
+             if i != j and space.d(i, j) is not INF]
+    den = lcm(1, *(d.denominator for _, _, d in steps))
+    target = Fraction(grade) * den
+    if target.denominator != 1 or target < 0:
+        return 0
+    target = int(target)
+    out = {}
+    for i, j, d in steps:
+        out.setdefault(i, []).append((j, int(d * den)))
+    counts = {(x, 0): 1 for x in range(n)}
+    chi, sign = 0, 1
+    while counts:
+        chi += sign * sum(c for (_, u), c in counts.items() if u == target)
+        longer = {}
+        for (x, u), c in counts.items():
+            for y, step in out.get(x, ()):
+                if u + step <= target:
+                    longer[(y, u + step)] = longer.get((y, u + step), 0) + c
+        counts, sign = longer, -sign
+    return chi
 
 
 def dense_snf(rows):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maghom.chain import (
+    _walks,
     enumerate_tuples,
     magnitude_cochain_complex,
     magnitude_complex,
@@ -19,9 +20,14 @@ from maghom.errors import InvalidField, UnvalidatedModule
 from maghom.gen import random_space
 from maghom.instances import c3, k2, x2
 from maghom.linalg import QQ, PrimeField
-from maghom.space import INF, attainable_grades, validate_space
+from maghom.space import INF, attainable_grades, opposite_space, validate_space
 
-from oracles import exhaustive_grades, exhaustive_tuples, exhaustive_tuples_up_to
+from oracles import (
+    exhaustive_grades,
+    exhaustive_tuples,
+    exhaustive_tuples_up_to,
+    walk_count_euler_characteristic,
+)
 
 
 def test_enumerate_k2_alternating():
@@ -63,6 +69,14 @@ def test_negative_degrees_are_empty():
 def test_short_circuit_above_grade_over_min_step():
     s = k2()
     assert enumerate_tuples(s, 4, 2) == []
+
+
+def test_walks_stop_at_the_first_empty_level():
+    # k2 has no normalized 3-point walk under grade 1, so every longer walk
+    # ends there: a length of 10**9 returns at once
+    s = k2()
+    assert _walks(s, 10**9, 1, True) == []
+    assert _walks(s, 1, 1, True) == [((0, 1), 1), ((1, 0), 1)]
 
 
 def test_magnitude_complex_k2():
@@ -237,6 +251,52 @@ def test_euler_characteristic_per_grade():
                 (-1) ** n * cx.homology_dim_over(n, QQ) for n in range(cx.n_max + 1)
             )
             assert chi_dims == chi_betti
+
+
+FRACTIONAL_GRID = (Fraction(1, 2), Fraction(1), Fraction(3, 2), INF, INF)
+
+
+def _small_spaces():
+    """4-point spaces with half-unit and infinite distances."""
+    spaces = [random_space(4, s) for s in range(5)]
+    spaces += [random_space(4, s, grid=FRACTIONAL_GRID) for s in (1, 6, 7)]
+    spaces += [random_space(4, 37), c3(), k2(), x2()]
+    assert any(d is None for sp in spaces for row in sp.scaled for d in row)
+    assert any(d % 2 for sp in spaces for row in sp.scaled for d in row if d is not None)
+    return spaces
+
+
+def test_chain_of_the_opposite_space_matches():
+    # X^op's complexes hold X's tuples reversed, so their boundaries are not
+    # X's; over Z the homology must still agree, torsion included
+    compared = 0
+    for space in _small_spaces():
+        op = opposite_space(space)
+        for g in attainable_grades(space, 3):
+            cx, cx_op = magnitude_complex(space, g, 4), magnitude_complex(op, g, 4)
+            for n in range(cx.n_max + 1):
+                h, h_op = cx.homology(n), cx_op.homology(n)
+                assert (h.betti, h.torsion) == (h_op.betti, h_op.torsion), (space, n, g)
+                compared += 1
+    assert compared > 200
+
+
+def test_walk_count_euler_characteristic():
+    # chi at each grade from a walk count that builds no tuple, against the
+    # alternating sum of the chain route's Betti numbers through every
+    # degree that has generators at that grade
+    nonzero = 0
+    for space in _small_spaces() + [random_space(5, s) for s in range(4)]:
+        n = len(space)
+        least = min(space.d(i, j) for i in range(n) for j in range(n) if i != j)
+        for g in attainable_grades(space, 4):
+            top = int(g / least)
+            cx = magnitude_complex(space, g, top)
+            assert cx.dim(top + 1) == 0
+            chi = sum((-1) ** k * cx.homology(k).betti for k in range(top + 1))
+            assert walk_count_euler_characteristic(space, g) == chi, (space, g)
+            nonzero += chi != 0
+    assert nonzero > 100
 
 
 def test_tuples_up_to_grade_consistency():

@@ -188,6 +188,43 @@ def test_homology_at_rejects_non_complex():
         homology_at(M([[1]]), M([[1]]), 1)
 
 
+def test_clearing_needs_unit_pivots_when_chosen():
+    # the pivot 2 ends at 1 only through a gcd step; dropping row 0 of
+    # d_(n+1) would turn its Smith form [1] into [2]
+    d_n, d_np1 = M([[2, 3]]), M([[-3], [2]])
+    h = homology_at(d_n, d_np1, 2)
+    assert (h.betti, h.torsion) == (0, ())
+    assert d_n._pivots == (1,) and d_n._cleared == ()
+    assert snf(d_np1) == [1]
+    assert snf(M([[2]])) == [2]
+
+
+def test_only_unit_pivot_blocks_are_cleared():
+    # block one (columns 0, 1) is eliminated through a unit pivot; block two
+    # (columns 2, 3) first picks the pivot 2
+    rows = [[1, 1, 0, 0], [0, 0, 2, 3]]
+    cleared = []
+    assert _diagonalize(M(rows), cleared=cleared) == ([1, 1], [0, 2])
+    assert cleared == [0]
+    # a unit pivot followed by the pivot 2 in one block clears nothing
+    cleared = []
+    assert _diagonalize(M([[1, 1], [1, 3]]), cleared=cleared) == ([1, 2], [0, 1])
+    assert cleared == []
+    # row 0 of d_(n+1) is dropped; the kernel (-1, 1, 0, 0), (0, 0, 3, -2) is
+    # hit twice and three times: Z/2 + Z/3 = Z/6
+    d_n = M(rows)
+    d_np1 = M([[-2, 0], [2, 0], [0, 9], [0, -6]])
+    h = homology_at(d_n, d_np1, 4)
+    assert d_n._cleared == (0,)
+    assert (h.betti, h.torsion) == (0, (6,))
+    assert snf(d_np1) == snf(M(d_np1.to_dense())) == [1, 6]
+    # a column-scaled matrix has another kernel, so it records no cleared column
+    scaled = M([[Fraction(1, 2), 0], [0, 1]])
+    assert rank_over_field(scaled, QQ) == 2 and scaled._cleared == ()
+    scaled.add_at(0, 0, Fraction(1, 2))
+    assert scaled._pivots is None and scaled._cleared == ()
+
+
 def test_homology_summary_checks_chain():
     with pytest.raises(ValueError):
         HomologySummary(n=0, grade=Fraction(0), betti=0, torsion=(4, 6))
@@ -465,22 +502,90 @@ def test_prime_field_check_runs_after_the_memo_is_filled():
     assert rank_over_field(mat, PrimeField(2)) == 1
 
 
-def test_memoized_boundaries_match_fresh_copies():
-    space = digraph_to_space(random_digraph(8, 1, 0.35))
-    fields = (QQ, PrimeField(2), PrimeField(3))
-    for g in range(5):
-        cx = magnitude_complex(space, g, 4)
-        for n in range(cx.n_max + 1):
-            cx.homology(n)
-        for d in cx.maps:
-            assert d._pivots is not None
-            fresh = SparseMatrix(d.rows, d.cols, d.entries)
-            assert fresh._pivots is None
-            assert snf(d) == snf(fresh)
-            for fld in fields:
-                fresh = SparseMatrix(d.rows, d.cols, d.entries)
-                assert rank_over_field(d, fld) == rank_over_field(fresh, fld), (g, fld)
+FIELDS = (QQ, PrimeField(2), PrimeField(3))
 
+
+def _fresh(d):
+    return SparseMatrix(d.rows, d.cols, d.entries)
+
+
+def _assert_like_fresh_copies(cx, homology):
+    """Run homology(n) for every degree in ascending order, so each boundary
+    is eliminated cleared by the one before it; then each summary, and each
+    boundary's Smith form and ranks read from its memo, must equal those of
+    never-eliminated copies.  Returns the entries clearing kept out of the
+    eliminations and the torsion factors seen."""
+    summaries = [homology(n) for n in range(cx.n_max + 1)]
+    kept_out = torsion = 0
+    for n, h in enumerate(summaries):
+        d_n, d_np1 = cx.boundary(n), cx.boundary(n + 1)
+        factors = snf(_fresh(d_np1))
+        assert h.betti == cx.dim(n) - rank_over_field(_fresh(d_n), QQ) - len(factors)
+        assert h.torsion == tuple(d for d in factors if d > 1)
+        drop = set(d_n._cleared)
+        kept_out += sum(1 for r, _ in d_np1.entries if r in drop)
+        torsion += len(h.torsion)
+    for d in cx.maps:
+        assert d._pivots is not None
+        assert snf(d) == snf(_fresh(d))
+        for fld in FIELDS:
+            assert rank_over_field(d, fld) == rank_over_field(_fresh(d), fld), fld
+    return kept_out, torsion
+
+
+def test_memoized_boundaries_match_fresh_copies():
+    # the benchmark's mh instances, at smaller degrees and grades
+    from maghom.instances import directed_cycle
+
+    graphs = [
+        random_digraph(12, 1, 0.25),
+        random_digraph(10, 7, 0.25),
+        random_digraph(8, 1, 0.35),
+        directed_cycle(8),
+    ]
+    kept_out = 0
+    for graph in graphs:
+        space = digraph_to_space(graph)
+        for g in range(5):
+            cx = magnitude_complex(space, g, 4)
+            kept_out += _assert_like_fresh_copies(cx, cx.homology)[0]
+    assert kept_out > 500
+
+
+def test_cleared_coefficient_complexes_match_fresh_copies():
+    from maghom.chain import magnitude_complex_with_coefficients
+    from maghom.gen import random_module
+
+    kept_out = torsion = 0
+    for s in range(12):
+        space = digraph_to_space(random_digraph(6, s, 0.4))
+        module = random_module(space, s)
+        for g in range(5):
+            cx = magnitude_complex_with_coefficients(space, module, g, 3)
+            found = _assert_like_fresh_copies(cx, cx.homology)
+            kept_out += found[0]
+            torsion += found[1]
+    assert kept_out > 300 and torsion == 84
+
+
+def test_cleared_tor_matches_fresh_copies():
+    from maghom.gen import random_module
+    from maghom.resolution import _module_complex, bar_resolution, tor_bidegree
+    from maghom.space import attainable_grades
+
+    space = digraph_to_space(random_digraph(6, 9, 0.4))
+    module = random_module(space, 9)
+    res = bar_resolution(space, "left", 5, 5)
+    kept_out = torsion = 0
+    for g in attainable_grades(space, 5):
+        cx = _module_complex(space, module, 0, g, res, "left")
+        found = _assert_like_fresh_copies(
+            cx, lambda n: tor_bidegree(space, module, n, g, resolution=res)
+        )
+        assert res._module_complex[2] is cx
+        kept_out += found[0]
+        torsion += found[1]
+    assert kept_out > 0 and torsion > 0
 
 def test_kernel_basis_over_field_and_span():
     mat = M([[1, 1, 0], [0, 0, 0]])
