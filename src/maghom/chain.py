@@ -42,12 +42,14 @@ def _walks(space: QuasimetricSpace, n: int, cap: int, normalized: bool):
     every prefix is extended by its next points in increasing order.  A
     prefix is dropped once the steps it still needs, each at least the
     least allowed step, cannot fit under the cap, and an empty level ends
-    the walk at once.  A negative n or cap has none.
+    the walk at once.  A negative n or cap has none, and neither has an n
+    whose n least steps pass the cap.
     """
     if n < 0 or cap < 0:
         return []
-    steps = space.steps(distinct=normalized)
-    least = min((d for row in steps for _, d in row), default=0) if normalized else 0
+    steps, least = space.walk_steps(normalized)
+    if n * least > cap:
+        return []
     level = [((i,), 0) for i in range(len(space))]
     for left in range(n - 1, -1, -1):
         if not level:
@@ -205,14 +207,21 @@ def _trivial_complex(space: QuasimetricSpace, grade: Fraction, n_max: int, fld) 
     """The trivial-coefficient complex at one grade; the one assembly that
     the chain and cochain complexes share."""
 
+    scaled = space.scaled
+
     def boundary(n, src, tgt):
+        # the steps of a generator are finite, and deleting distinct interior
+        # points of a tuple with no repeated neighbours gives distinct faces,
+        # so each entry is written once
         target_index = {t: k for k, t in enumerate(tgt)}
         mat = SparseMatrix(len(tgt), len(src))
+        entries = mat.entries
         for col, t in enumerate(src):
             for i in range(1, n):
-                if space.between_idx(t[i - 1], t[i], t[i + 1]):
-                    face = t[:i] + t[i + 1 :]
-                    mat.add_at(target_index[face], col, -1 if i % 2 else 1)
+                a, b, c = t[i - 1], t[i], t[i + 1]
+                ac = scaled[a][c]
+                if ac is not None and scaled[a][b] + scaled[b][c] == ac:
+                    entries[target_index[t[:i] + t[i + 1 :]], col] = -1 if i % 2 else 1
         return mat
 
     return BasedComplex(

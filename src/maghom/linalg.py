@@ -5,10 +5,12 @@ bases from the echelon span: one integer elimination on Python ints gives
 Smith forms, integer kernels and every rank (over QQ the number of its
 pivots, over GF(p) the number that p does not divide), and one field
 elimination on Fractions or on ints reduced mod p gives kernels and solves
-over either field.  A matrix keeps its pivot values once eliminated, so its
-Smith form and its ranks over every field share one elimination.
-Intermediate coefficient growth during elimination is expected and
-harmless.
+over either field.  The integer elimination first peels the unit pivots
+that need no arithmetic (a +-1 alone in its column or in its row), then
+searches the rest block by block.  A matrix keeps its pivot values once
+eliminated, so its Smith form and its ranks over every field share one
+elimination.  Intermediate coefficient growth during elimination is
+expected and harmless.
 """
 
 from __future__ import annotations
@@ -385,33 +387,99 @@ def _components(rows, cols) -> list[list]:
     return blocks
 
 
+def _peel(rows, cols, values, pivot_cols, track):
+    """Take every +-1 entry alone in its column, then every one alone in its
+    row, as a pivot, with no arithmetic.
+
+    A unit alone in its column at (r, c) clears its row by the column
+    operations col_j -= (b.v).col_c, which only delete row r (tracked); a
+    unit alone in its row clears its column by row operations, which only
+    delete column c.  Each pass is a worklist of the lines with one entry,
+    in first-appearance order, and a line that a deletion leaves with one
+    entry joins its end; a line whose entry is not a unit is passed over.
+    The column pass shortens no row it keeps and the row pass no column, so
+    after the two passes no unit stands alone in a line.  A row emptied by
+    a deletion is dropped.
+    """
+    work = [c for c, col in cols.items() if len(col) == 1]
+    for c in work:
+        col = cols[c]
+        if not col:
+            continue
+        ((r, v),) = col.items()
+        if v != 1 and v != -1:
+            continue
+        del cols[c]
+        for j, b in rows.pop(r).items():
+            if j != c:
+                col = cols[j]
+                del col[r]
+                if track is not None:
+                    _axpy(track[j], b * v, track[c], None)
+                if len(col) == 1:
+                    work.append(j)
+        values.append(1)
+        pivot_cols.append(c)
+    work = [r for r, row in rows.items() if len(row) == 1]
+    for r in work:
+        row = rows.get(r)
+        if row is None:
+            continue
+        ((c, v),) = row.items()
+        if v != 1 and v != -1:
+            continue
+        del rows[r]
+        for i in cols.pop(c):
+            if i != r:
+                row = rows[i]
+                del row[c]
+                if not row:
+                    del rows[i]
+                elif len(row) == 1:
+                    work.append(i)
+        values.append(1)
+        pivot_cols.append(c)
+
+
 def _diagonalize(matrix: SparseMatrix, track=None, cleared=None):
     """Pivot values and pivot columns of a sparse Smith elimination.
 
     The matrix is held once as rows and as columns (`_lines`) and eliminated
-    in place, one connected block at a time.  Each pivot (min |entry|, then
-    min fill-in) is isolated by alternating row and column passes and then
-    removed, so unimodular U and Q bring the matrix to a diagonal form U.M.Q
-    with |entries| = the pivot values on the pivot columns and zero columns
-    elsewhere.  A block's rows are searched in the order in which they first
-    appear, so a block sees the pivots that one elimination of the whole
-    matrix would pick in it, in the same order.  An emptied line never
-    refills, since every operation combines nonempty lines, so the search
-    just skips it.  This is the only integer elimination loop; track, when
-    given, is a list of one sparse vector per column that receives every
-    column operation, turning a seeded identity into Q.
+    in place.  First `_peel` takes the unit pivots that need no arithmetic:
+    on boundary maps, which are close to matchings, that is most of them.
+    The rest is eliminated one connected block at a time.  Each pivot (min
+    |entry|, then min fill-in) is isolated by alternating row and column
+    passes and then removed, so unimodular U and Q bring the matrix to a
+    diagonal form U.M.Q with |entries| = the pivot values on the pivot
+    columns and zero columns elsewhere.  The rows left by the peel keep the
+    order in which they first appear among the entries; a block's rows are
+    searched in that order, so a block sees the pivots that one elimination
+    of the whole peeled matrix would pick in it, in the same order.  An
+    emptied line never refills, since every operation combines nonempty
+    lines, so the search just skips it.  This is the only integer
+    elimination loop; track, when given, is a list of one sparse vector per
+    column that receives every column operation, turning a seeded identity
+    into Q.
 
-    cleared, when given, is a list that receives the pivot columns of every
-    block whose pivots all had |v| = 1 when `_pick_pivot` chose them.  Such a
-    block's column operations are all col_j -= q.col_c0 with c0 a pivot
-    column, so each kernel vector of the block is e_j plus a part on those
-    pivot columns, and projecting the kernel away from them is an
-    isomorphism onto a direct summand.  A pivot that only ends at 1 does not
-    qualify: [[2, 3]] reaches pivot 1 through a gcd step that mixes both
-    columns, and its kernel (3, -2) does not project onto a summand.
+    cleared, when given, is a list that receives every peeled pivot column
+    and the pivot columns of every block whose pivots all had |v| = 1 when
+    `_pick_pivot` chose them.  A kernel vector is 0 on the column of a unit
+    alone in its row, and on the column of a unit alone in its column it is
+    an integer combination of the columns still standing at that peel, so
+    projecting the kernel away from the peeled columns is an isomorphism
+    onto the kernel of the peeled matrix.  A unit block's column operations
+    are all col_j -= q.col_c0 with c0 a pivot column, so each kernel vector
+    of the block is e_j plus a part on those pivot columns, and projecting
+    the kernel away from them is an isomorphism onto a direct summand.  A
+    pivot that only ends at 1 does not qualify: [[2, 3]] reaches pivot 1
+    through a gcd step that mixes both columns, and its kernel (3, -2) does
+    not project onto a summand.
     """
     rows, cols = _lines(matrix)
     values, pivot_cols = [], []
+    _peel(rows, cols, values, pivot_cols, track)
+    if cleared is not None:
+        cleared.extend(pivot_cols)
     for block in _components(rows, cols):
         first, units = len(pivot_cols), True
         while (pivot := _pick_pivot(block, rows, cols)) is not None:
@@ -437,9 +505,10 @@ def _pivot_values(matrix: SparseMatrix) -> tuple[int, ...]:
     """The pivot values of the matrix's Smith elimination, its columns
     cleared of denominators first; eliminated once and kept on the matrix.
 
-    The cleared pivot columns (see `_diagonalize`) are kept beside them when
-    the matrix was integral as given; a column-scaled matrix has another
-    kernel, so it records none."""
+    The cleared pivot columns (see `_diagonalize`: every peeled pivot and
+    every pivot of a block whose pivots were all units) are kept beside
+    them when the matrix was integral as given; a column-scaled matrix has
+    another kernel, so it records none."""
     if matrix._pivots is None:
         integral = _integral_columns(matrix)
         cleared = [] if integral is matrix else None
@@ -516,11 +585,13 @@ def homology_at(d_n: SparseMatrix, d_np1: SparseMatrix, dim_n: int, n=0, grade=F
     is an isomorphism onto a direct summand, so the smaller matrix has the
     same Smith form: the same torsion and the same rank over QQ and every
     GF(p).  Its pivots become the memo of d_{n+1}, and its cleared columns
-    clear d_{n+2} in turn, since its kernel is ker d_{n+1}.  The rule needs
-    every pivot of a block to be a unit when chosen: for d_n = [[2, 3]] and
-    d_{n+1} = [[-3], [2]] the pivot 2 ends at 1 only through a gcd step,
-    and dropping row 0 would turn the Smith form [1] into [2].  The shape
-    and d_n.d_{n+1} = 0 checks run on the matrices as given.
+    clear d_{n+2} in turn, since its kernel is ker d_{n+1}.  A peeled pivot
+    column is always cleared, even beside a block that goes on to torsion.
+    A pivot of the block search is cleared only when every pivot of its
+    block was a unit when chosen: for d_n = [[2, 3]] and d_{n+1} =
+    [[-3], [2]] the pivot 2 ends at 1 only through a gcd step, and dropping
+    row 0 would turn the Smith form [1] into [2].  The shape and
+    d_n.d_{n+1} = 0 checks run on the matrices as given.
     """
     if d_n.cols != dim_n or d_np1.rows != dim_n:
         raise NotAComplex(

@@ -105,7 +105,7 @@ class QuasimetricSpace:
     immutable after construction and safe to share.
     """
 
-    __slots__ = ("points", "dist", "denom", "scaled", "_index")
+    __slots__ = ("points", "dist", "denom", "scaled", "_index", "_walk_steps")
 
     def __init__(self, points, dist):
         self.points = tuple(points)
@@ -117,6 +117,7 @@ class QuasimetricSpace:
             tuple(None if d is INF else int(d * self.denom) for d in row)
             for row in self.dist
         )
+        self._walk_steps = {}
 
     def __len__(self):
         return len(self.points)
@@ -170,6 +171,15 @@ class QuasimetricSpace:
             [(j, d) for j, d in enumerate(row) if d is not None and not (distinct and j == i)]
             for i, row in enumerate(self.scaled)
         ]
+
+    def walk_steps(self, distinct: bool):
+        """steps(distinct) with the least of its distances (0 when it has
+        none), computed once per space and shared by every walk over it."""
+        if distinct not in self._walk_steps:
+            steps = self.steps(distinct)
+            least = min((d for row in steps for _, d in row), default=0)
+            self._walk_steps[distinct] = steps, least
+        return self._walk_steps[distinct]
 
     def between_idx(self, i: int, j: int, k: int) -> bool:
         scaled = self.scaled
@@ -326,7 +336,7 @@ def attainable_grades(space: QuasimetricSpace, l_max) -> list[Fraction]:
     """
     l_max = parse_dist(l_max)
     cap = None if l_max is INF else space.floor_units(l_max)
-    steps = space.steps(distinct=True)
+    steps = space.walk_steps(distinct=True)[0]
     reached = [{0} for _ in steps]
     frontier = [(i, 0) for i in range(len(steps))]
     while frontier:

@@ -3,8 +3,9 @@
 Nothing here shares code with the package: shortest paths are recomputed by
 plain breadth-first search on adjacency lists, tuple enumeration walks every
 raw sequence, and the Smith form oracle is a dense textbook elimination.
-The one exception is the reference Smith elimination at the end: it keeps
-the package's row and column operations (`_clear`) and pins the order in
+The one exception is the reference Smith elimination at the end: its peel
+of the unit pivots is written apart, but its block search keeps the
+package's row and column operations (`_clear`), and it pins the order in
 which the package picks its pivots.
 """
 
@@ -317,10 +318,11 @@ def positional_bar_boundary(res, n):
 
 
 # ---------------------------------------------------------------------------
-# reference Smith elimination: blocks by union-find, each block rebuilt into
-# its own row and column dicts, empty lines swept before every pivot.  The
-# package's eliminator must pick the same pivots, in the same order, and
-# track the same column transform Q.
+# reference Smith elimination: a peel of the unit pivots that need no
+# arithmetic, then blocks by union-find, each block rebuilt into its own row
+# and column dicts, empty lines swept before every pivot.  The package's
+# eliminator must pick the same pivots, in the same order, and track the
+# same column transform Q.
 
 
 def _pick_pivot(rows, cols):
@@ -367,15 +369,77 @@ def _blocks(matrix: SparseMatrix) -> list[list]:
     return list(blocks.values())
 
 
+def _reference_peel(live: dict, track) -> list:
+    """Pivot columns of the peel, deleting from live ({(row, col): value},
+    in entry order) in place.
+
+    First every +-1 entry alone in its column: it deletes its row, and each
+    other column j of that row takes col_j -= (b.v).col_c on track.  Then
+    every +-1 entry alone in its row: it deletes its column.  Each pass is a
+    queue of lines in first-appearance order, and a line that a deletion
+    leaves with one unit entry joins its end.  Lines are found by scanning
+    live, in entry order.
+    """
+
+    def line(axis, k):
+        return [key for key in live if key[axis] == k]
+
+    def unit_alone(axis, k):
+        keys = line(axis, k)
+        return len(keys) == 1 and abs(live[keys[0]]) == 1
+
+    pivots = []
+    queue = [c for c in dict.fromkeys(c for _, c in live) if unit_alone(1, c)]
+    for c in queue:
+        if not unit_alone(1, c):
+            continue
+        ((r, _),) = line(1, c)
+        v = live.pop((r, c))
+        for key in line(0, r):
+            b = live.pop(key)
+            j = key[1]
+            if track is not None:
+                for i, x in track[c].items():
+                    y = track[j].get(i, 0) - b * v * x
+                    track[j][i] = y
+                    if not y:
+                        del track[j][i]
+            if unit_alone(1, j):
+                queue.append(j)
+        pivots.append(c)
+    queue = [r for r in dict.fromkeys(r for r, _ in live) if unit_alone(0, r)]
+    for r in queue:
+        if not unit_alone(0, r):
+            continue
+        ((_, c),) = line(0, r)
+        del live[(r, c)]
+        for key in line(1, c):
+            del live[key]
+            if unit_alone(0, key[0]):
+                queue.append(key[0])
+        pivots.append(c)
+    return pivots
+
+
 def reference_diagonalize(matrix: SparseMatrix, track=None):
     """(pivot values, pivot columns) of the reference Smith elimination;
-    track, when given, receives every column operation."""
-    values, pivot_cols = [], []
-    for block in _blocks(matrix):
+    track, when given, receives every column operation.
+
+    The rows left by the peel keep the order in which they first appear
+    among the matrix's entries: blocks come in the order of their first such
+    row, and each block's rows in that order."""
+    first = {r: k for k, r in enumerate(dict.fromkeys(r for r, _ in matrix.entries))}
+    rest = SparseMatrix(matrix.rows, matrix.cols)
+    rest.entries = dict(matrix.entries)
+    pivot_cols = _reference_peel(rest.entries, track)
+    values = [1] * len(pivot_cols)
+    blocks = sorted(_blocks(rest), key=lambda b: min(first[r] for (r, _), _ in b))
+    for block in blocks:
         rows = {}
         cols = {}
-        for (r, c), v in block:
+        for (r, c), v in sorted(block, key=lambda e: first[e[0][0]]):
             rows.setdefault(r, {})[c] = v
+        for (r, c), v in block:
             cols.setdefault(c, {})[r] = v
         while rows:
             # drop empty rows/cols left behind by eliminations

@@ -79,6 +79,40 @@ def test_walks_stop_at_the_first_empty_level():
     assert _walks(s, 1, 1, True) == [((0, 1), 1), ((1, 0), 1)]
 
 
+def test_walk_steps_are_read_once_per_space(tmp_path, monkeypatch):
+    # mh at a large --nmax walks every degree of every grade; each walk must
+    # reuse the space's steps and least step instead of rebuilding them
+    import json
+    from collections import Counter
+
+    from maghom import io as mio
+    from maghom.cli import main
+    from maghom.instances import directed_cycle
+    from maghom.space import QuasimetricSpace
+
+    calls = Counter()
+    steps = QuasimetricSpace.steps
+
+    def counted(self, distinct):
+        calls[id(self), distinct] += 1
+        return steps(self, distinct)
+
+    monkeypatch.setattr(QuasimetricSpace, "steps", counted)
+    path = tmp_path / "c8.json"
+    path.write_text(json.dumps(mio.dump_digraph(directed_cycle(8))))
+    assert main(["mh", str(path), "--nmax", "5000", "--lmax", "3"]) == 0
+    assert calls and max(calls.values()) == 1
+
+
+def test_an_empty_degree_is_not_the_last():
+    # grade 4 has no 2-point tuple but has 3-point ones, so no degree loop
+    # may stop at its first empty degree
+    s = validate_space(["a", "b"], [[0, 2], [2, 0]])
+    assert enumerate_tuples(s, 1, 4) == []
+    assert enumerate_tuples(s, 2, 4) == [(0, 1, 0), (1, 0, 1)]
+    assert magnitude_complex(s, 4, 2).homology(2).betti == 2
+
+
 def test_magnitude_complex_k2():
     cx = magnitude_complex(k2(), 2, 2)
     assert [cx.dim(n) for n in range(4)] == [0, 0, 2, 0]

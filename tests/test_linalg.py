@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -363,9 +364,7 @@ def test_pivots_match_reference_elimination(seed):
     first appear out of index order."""
     rng = random.Random(seed)
     rows = _shuffled(_random_blocks(rng, 6), rng, rng.randrange(3), rng.randrange(3))
-    items = list(M(rows).entries.items())
-    rng.shuffle(items)
-    _assert_reference_pivots(SparseMatrix(len(rows), len(rows[0]), dict(items)))
+    _assert_reference_pivots(_shuffled_entries(rows, rng))
 
 
 def test_pivots_match_reference_on_boundary_maps():
@@ -374,6 +373,93 @@ def test_pivots_match_reference_on_boundary_maps():
     assert sum(d.nnz() for d in maps) > 1000
     for d in maps:
         _assert_reference_pivots(d)
+
+
+def _peelable(rng):
+    """Dense rows of a small core with single lines forced onto it: columns
+    and then rows holding one entry, a unit or +-2 or 3, plus zero lines,
+    rows and columns shuffled."""
+    values = (1, -1, 1, -1, 2, -2, 3)
+    m, n = rng.randrange(1, 5), rng.randrange(1, 5)
+    dense = [[rng.choice(values) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(m)]
+    for _ in range(rng.randrange(4)):
+        r = rng.randrange(m)
+        for i, row in enumerate(dense):
+            row.append(rng.choice(values) if i == r else 0)
+    for _ in range(rng.randrange(4)):
+        row = [0] * len(dense[0])
+        row[rng.randrange(len(row))] = rng.choice(values)
+        dense.append(row)
+    return _shuffled([dense], rng, rng.randrange(3), rng.randrange(3))
+
+
+def _shuffled_entries(rows, rng):
+    items = list(M(rows).entries.items())
+    rng.shuffle(items)
+    return SparseMatrix(len(rows), len(rows[0]), dict(items))
+
+
+def _integral_kernel(rows, n):
+    """Integer multiples of a QQ kernel basis, from the dense oracle."""
+    basis = []
+    for vec in dense_kernel_rref(rows, n):
+        den = lcm(*(Fraction(x).denominator for x in vec))
+        basis.append([int(x * den) for x in vec])
+    return basis
+
+
+def _assert_homology_like_dense(d_n, d_np1):
+    rows_n, rows_np1 = d_n.to_dense(), d_np1.to_dense()
+    h = homology_at(d_n, d_np1, d_n.cols)
+    factors = dense_snf(rows_np1)
+    assert h.betti == d_n.cols - len(dense_snf(rows_n)) - len(factors)
+    assert h.torsion == tuple(d for d in factors if d > 1)
+    return h
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32))
+def test_peeled_elimination_matches_dense_oracles(seed):
+    """Forced single lines, units and not, are peeled or left to the block
+    search; d_(n+1) is an integer combination of d_n's kernel, with one
+    column scaled for torsion, and is eliminated cleared by d_n."""
+    rng = random.Random(seed)
+    rows = _peelable(rng)
+    n = len(rows[0])
+    mat = _shuffled_entries(rows, rng)
+    assert snf(mat) == dense_snf(rows)
+    _assert_reference_pivots(mat)
+    basis = integer_kernel_basis(mat)
+    for vec in basis:
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    assert len(basis) == n - dense_rank_qq(rows)
+    kernel = _integral_kernel(rows, n)
+    if not kernel:
+        return
+    width = rng.randrange(1, 4)
+    mix = [[rng.choice((0, 1, -1, 2)) for _ in range(width)] for _ in kernel]
+    mix[rng.randrange(len(kernel))][rng.randrange(width)] = rng.choice((2, 3, 6))
+    rows_np1 = [
+        [sum(vec[i] * mix[k][j] for k, vec in enumerate(kernel)) for j in range(width)]
+        for i in range(n)
+    ]
+    _assert_homology_like_dense(_shuffled_entries(rows, rng), _shuffled_entries(rows_np1, rng))
+
+
+def test_peeled_pivots_clear_beside_torsion():
+    # a unit alone in its column (first pair) or alone in its row (second)
+    # shares a block with the pivot 2: its column is cleared, the block's
+    # is not, and H_n is Z/2 or Z/3
+    pairs = [
+        ([[1, 1, 0], [0, 2, 2]], [[2], [-2], [2]], (2,)),
+        ([[1, 0, 0], [1, 2, 2]], [[0], [3], [-3]], (3,)),
+    ]
+    for rows, rows_np1, torsion in pairs:
+        d_n = M(rows)
+        assert len(_components(*_lines(d_n))) == 1
+        h = _assert_homology_like_dense(d_n, M(rows_np1))
+        assert d_n._pivots == (1, 2) and d_n._cleared == (0,)
+        assert (h.betti, h.torsion) == (0, torsion)
 
 
 @st.composite
