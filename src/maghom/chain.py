@@ -254,22 +254,30 @@ def magnitude_complex_with_coefficients(space, module, grade, n_max: int) -> Bas
             for j in range(module.rank_at(t[0], grade - g))
         ]
 
+    scaled = space.scaled
+    stored = module.actions
+
     def boundary(n, src, tgt):
+        # normalized: face 0's targets start at x_1, the interior faces' at
+        # x_0 != x_1, and distinct deletions give distinct faces, so each
+        # entry is written once
         target_index = {lab: k for k, lab in enumerate(tgt)}
         mat = SparseMatrix(len(tgt), len(src))
+        entries = mat.entries
         for col, (t, j) in enumerate(src):
-            g = tuple_grade(space, t)
-            # face 0: coefficient moves along the action M(x_0, x_1)
-            action = module.action_matrix(t[0], t[1], grade - g)
-            tail = t[1:]
-            for i_row, row in enumerate(action):
-                if row[j]:
-                    mat.add_at(target_index[(tail, i_row)], col, row[j])
+            # face 0: coefficient moves along the stored action M(x_0, x_1), if any
+            action = stored.get(t[:2], {}).get(grade - tuple_grade(space, t))
+            if action is not None:
+                tail = t[1:]
+                for i_row, row in enumerate(action):
+                    if row[j]:
+                        entries[target_index[(tail, i_row)], col] = row[j]
             # interior faces: betweenness deletion, coefficient untouched
             for i in range(1, n):
-                if space.between_idx(t[i - 1], t[i], t[i + 1]):
-                    face = t[:i] + t[i + 1 :]
-                    mat.add_at(target_index[(face, j)], col, -1 if i % 2 else 1)
+                a, b, c = t[i - 1], t[i], t[i + 1]
+                ac = scaled[a][c]
+                if ac is not None and scaled[a][b] + scaled[b][c] == ac:
+                    entries[target_index[(t[:i] + t[i + 1 :], j)], col] = -1 if i % 2 else 1
         return mat
 
     return _built(BasedComplex(n_max, basis, boundary, grade=grade))

@@ -154,6 +154,13 @@ def validate_module(space: QuasimetricSpace, module: DistanceModule):
 
     Returns the list of violations (empty means valid); a clean module is
     marked validated so downstream constructions accept it.
+
+    The composition law is compared only where a side can be nonzero, so
+    the skip is exact and keeps the violations in order: i == j or j == k
+    gives one map on both sides (action_matrix is the identity on (x, x));
+    M(i,k) at g needs betweenness and an action stored there (never for
+    i == k: distinct points are at positive distance); M(j,k) M(i,j) needs
+    actions stored at (i, j) at g and at (j, k) at g + d(i, j).
     """
     violations = []
     n = len(space)
@@ -197,17 +204,23 @@ def validate_module(space: QuasimetricSpace, module: DistanceModule):
                 )
     if violations:
         return violations
+    actions = module.actions
     for i in range(n):
         for j in range(n):
             dij = space.d(i, j)
-            if dij is INF:
+            if i == j or dij is INF:
                 continue
+            ij = actions.get((i, j), {})
             for k in range(n):
                 djk = space.d(j, k)
-                if djk is INF:
+                if j == k or djk is INF:
                     continue
                 betw = space.between_idx(i, j, k)
+                jk = actions.get((j, k), {})
+                ik = actions.get((i, k), {}) if betw else {}
                 for g in module.components[i]:
+                    if g not in ik and not (g in ij and g + dij in jk):
+                        continue
                     left = _mat_mul(
                         module.action_matrix(j, k, g + dij), module.action_matrix(i, j, g)
                     )

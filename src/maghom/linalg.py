@@ -161,13 +161,6 @@ class SparseMatrix:
                 out.add_at(r, c, v)
         return out
 
-    @classmethod
-    def identity(cls, n):
-        out = cls(n, n)
-        for i in range(n):
-            out.entries[(i, i)] = 1
-        return out
-
     def add_at(self, r, c, v):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"entry ({r},{c}) out of bounds {self.rows}x{self.cols}")
@@ -229,12 +222,6 @@ class SparseMatrix:
             if vv:
                 out.entries[k] = vv
         return out
-
-    def to_dense(self):
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
-        return dense
 
     @staticmethod
     def block_diag(blocks):

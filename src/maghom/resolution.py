@@ -17,7 +17,9 @@ Tensoring a right module against the left resolution and Hom-ing the right
 resolution into a right module then reduce to finite integer matrices,
 giving a computation of Tor and Ext independent of the chain-complex route.
 Both are one module complex: the Hom coboundaries are read as the transposed
-maps that the same builder assembles on the right resolution.
+maps that the same builder assembles on the right resolution.  It sums its
+entries, as an unnormalized generator can give one face twice, and reads
+only stored actions: (x, x) acts as the identity, a pair with none as zero.
 """
 
 from __future__ import annotations
@@ -154,27 +156,27 @@ class BarResolution:
         self._check_degree(n, 1)
         if n in self._gen_terms:
             return self._gen_terms[n]
-        between = self.space.between_idx
+        left = self.side == "left"
+        scaled = self.space.scaled
         tgt = self.gen_index[n - 1]
         out = []
         for a in self.gens[n]:
             terms = []
-            if self.side == "left":
-                # generator (x_0; x_0..x_n): face 0 frees the pair (x_0, x_1)
+            # a left generator (x_0; x_0..x_n) frees (x_0, x_1) at face 0, a
+            # right one (x_0..x_n; x_n) frees (x_{n-1}, x_n) at face n
+            if left:
                 terms.append((1, (a[0], a[1]), tgt[a[1:]]))
-                for i in range(1, n):
-                    if between(a[i - 1], a[i], a[i + 1]):
-                        terms.append((-1 if i % 2 else 1, None, tgt[a[:i] + a[i + 1 :]]))
-                if a[n - 1] == a[n]:
-                    terms.append((-1 if n % 2 else 1, None, tgt[a[:-1]]))
-            else:
-                # generator (x_0..x_n; x_n): face n frees the pair (x_{n-1}, x_n)
-                if a[0] == a[1]:
-                    terms.append((1, None, tgt[a[1:]]))
-                for i in range(1, n):
-                    if between(a[i - 1], a[i], a[i + 1]):
-                        terms.append((-1 if i % 2 else 1, None, tgt[a[:i] + a[i + 1 :]]))
+            elif a[0] == a[1]:
+                terms.append((1, None, tgt[a[1:]]))
+            # a generator's steps are finite: betweenness needs only a[i-1] -> a[i+1]
+            for i in range(1, n):
+                ac = scaled[a[i - 1]][a[i + 1]]
+                if ac is not None and scaled[a[i - 1]][a[i]] + scaled[a[i]][a[i + 1]] == ac:
+                    terms.append((-1 if i % 2 else 1, None, tgt[a[:i] + a[i + 1 :]]))
+            if not left:
                 terms.append((-1 if n % 2 else 1, (a[n - 1], a[n]), tgt[a[:-1]]))
+            elif a[n - 1] == a[n]:
+                terms.append((-1 if n % 2 else 1, None, tgt[a[:-1]]))
             out.append(terms)
         self._gen_terms[n] = out
         return out
@@ -236,29 +238,52 @@ def _module_matrix(res, module, k, src, tgt):
     transpose of Hom's coboundary delta_(k-1), which has the same rank over
     a field.  A freed pair moves the coefficient along M(pair): on the left
     forward out of the source generator's component, on the right back from
-    the target generator's component through the transposed action."""
+    the target generator's component through the transposed action.
+
+    Entries go straight into the matrix in term order and are summed, a
+    zero sum dropped: the left (x, y, y) reaches (x, y) by deleting either
+    y, with opposite signs.  A pair (x, x) is the identity, one entry at
+    row + j; a pair with no stored action is zero and builds no matrix; a
+    stored action's column j is read once per (pair, grade, j)."""
     left = res.side == "left"
     first = {ti: (row, h) for row, (ti, h, j) in enumerate(tgt) if j == 0}
     terms = res.gen_boundary_terms(k)
-    actions = {}
+    stored = module.actions
+    columns = {}
     mat = SparseMatrix(len(tgt), len(src))
+    entries = mat.entries
     for col, (gi, h, j) in enumerate(src):
         for sign, pair, ti in terms[gi]:
             target = first.get(ti)
             if target is None:
                 continue
             row, th = target
-            if pair is None:
-                mat.add_at(row + j, col, sign)
+            if pair is None or pair[0] == pair[1]:
+                key = (row + j, col)
+                v = entries.get(key, 0) + sign
+                if v:
+                    entries[key] = v
+                else:
+                    del entries[key]
+                continue
+            per_grade = stored.get(pair)
+            if per_grade is None:
                 continue
             at = h if left else th
-            action = actions.get((pair, at))
-            if action is None:
-                action = actions[pair, at] = module.action_matrix(pair[0], pair[1], at)
-            coeffs = [r[j] for r in action] if left else action[j]
-            for i, v in enumerate(coeffs):
+            column = columns.get((pair, at, j))
+            if column is None:
+                action = per_grade.get(at)
+                if action is None:
+                    continue
+                coeffs = [r[j] for r in action] if left else action[j]
+                column = columns[pair, at, j] = [(i, v) for i, v in enumerate(coeffs) if v]
+            for i, v in column:
+                key = (row + i, col)
+                v = entries.get(key, 0) + sign * v
                 if v:
-                    mat.add_at(row + i, col, sign * v)
+                    entries[key] = v
+                else:
+                    del entries[key]
     return mat
 
 

@@ -3,7 +3,10 @@
 Nothing here shares code with the package: shortest paths are recomputed by
 plain breadth-first search on adjacency lists, tuple enumeration walks every
 raw sequence, and the Smith form oracle is a dense textbook elimination.
-The one exception is the reference Smith elimination at the end: its peel
+There are two exceptions.  The module-coefficient references build their
+matrices through `DistanceModule.action_matrix` and `SparseMatrix.add_at`,
+the definitions that the package's own builders bypass.  The reference
+Smith elimination at the end: its peel
 of the unit pivots is written apart, but its block search keeps the
 package's row and column operations (`_clear`), and it pins the order in
 which the package picks its pivots.
@@ -13,6 +16,14 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from maghom.linalg import SparseMatrix, _clear
+
+
+def dense_rows(matrix: SparseMatrix):
+    """The rows of a sparse matrix as lists, zeros filled in."""
+    rows = [[0] * matrix.cols for _ in range(matrix.rows)]
+    for (r, c), v in matrix.entries.items():
+        rows[r][c] = v
+    return rows
 
 
 def bfs_distances(vertices, arcs):
@@ -315,6 +326,147 @@ def positional_bar_boundary(res, n):
                 key = (rows[face], col)
                 out[key] = out.get(key, 0) + (-1 if i % 2 else 1)
     return {key: v for key, v in out.items() if v}
+
+
+def reference_module_matrix(res, module, k, grade, src, tgt):
+    """The module complex's map from degree k to k-1 at one grade, from the
+    definition: each degree-k generator's basis tuple (its kept end doubled)
+    loses one position at a time as in `positional_bar_boundary`, a face
+    that keeps the grade is an algebra pair times a degree-(k-1) generator,
+    and the pair acts through module.action_matrix (the identity on a pair
+    of one point); every coefficient goes in through add_at.  On the left
+    the action carries the source piece forward, M(pair) at its grade; on
+    the right it is Hom's coboundary transposed, M(pair) at the target's
+    grade read by row."""
+    space, left = res.space, res.side == "left"
+    gen_index = {t: i for i, t in enumerate(res.gens[k - 1])}
+    rows = {(ti, j): r for r, (ti, _, j) in enumerate(tgt)}
+    mat = SparseMatrix(len(tgt), len(src))
+    for col, (gi, h, j) in enumerate(src):
+        a = res.gens[k][gi]
+        t = (a[0],) + a if left else a + (a[-1],)
+        for i in range(k + 1):
+            p = i + 1 if left else i
+            face = t[:p] + t[p + 1 :]
+            if walk_grade(space, face) != walk_grade(space, t):
+                continue
+            sign = -1 if i % 2 else 1
+            if left:
+                gen = face[1:]
+                coeffs = [row[j] for row in module.action_matrix(face[0], face[1], h)]
+            else:
+                gen = face[:-1]
+                at = walk_grade(space, gen) - grade
+                coeffs = module.action_matrix(face[-2], face[-1], at)[j]
+            ti = gen_index[gen]
+            for r, v in enumerate(coeffs):
+                if v:
+                    mat.add_at(rows[ti, r], col, sign * v)
+    return mat
+
+
+def reference_coefficient_boundary(space, module, grade, n, src, tgt):
+    """d_n of the normalized chain complex with coefficients in a module,
+    on its (tuple, j) bases: face 0 moves the coefficient along
+    module.action_matrix(x_0, x_1), an interior face whose point lies between
+    its neighbours deletes it; every entry goes in through add_at."""
+    index = {lab: r for r, lab in enumerate(tgt)}
+    mat = SparseMatrix(len(tgt), len(src))
+    for col, (t, j) in enumerate(src):
+        action = module.action_matrix(t[0], t[1], grade - walk_grade(space, t))
+        for r, row in enumerate(action):
+            if row[j]:
+                mat.add_at(index[(t[1:], r)], col, row[j])
+        for i in range(1, n):
+            face = t[:i] + t[i + 1 :]
+            if walk_grade(space, face) == walk_grade(space, t):
+                mat.add_at(index[(face, j)], col, -1 if i % 2 else 1)
+    return mat
+
+
+def reference_validate_module(space, module):
+    """validate_module's violations by the dense triple loop: every triple
+    (i, j, k) with finite steps and every grade of M(i), both sides of the
+    composition law built in full and compared, nothing skipped.  Leaves
+    the module's validated flag alone."""
+    from maghom.distmod import ModuleViolation
+    from maghom.space import INF
+
+    def product(a, b):
+        cols = len(b[0]) if b else 0
+        return [
+            [sum(a[r][m] * b[m][c] for m in range(len(b))) for c in range(cols)]
+            for r in range(len(a))
+        ]
+
+    def nonzero(a):
+        return {(r, c): v for r, row in enumerate(a) for c, v in enumerate(row) if v}
+
+    violations = []
+    n = len(space)
+    if module.space != space:
+        return [ModuleViolation("ShapeMismatch", (), "module built over a different space")]
+    for (i, j), per_grade in module.actions.items():
+        if i == j:
+            for g, mat in per_grade.items():
+                rank = module.rank_at(i, g)
+                identity = [[int(r == c) for c in range(rank)] for r in range(rank)]
+                if [list(row) for row in mat] != identity:
+                    violations.append(
+                        ModuleViolation(
+                            "IdentityViolation",
+                            (space.points[i], g),
+                            "stored self-action differs from the identity",
+                        )
+                    )
+            continue
+        d = space.d(i, j)
+        if d is INF:
+            violations.append(
+                ModuleViolation(
+                    "ShapeMismatch",
+                    (space.points[i], space.points[j]),
+                    "action stored for a pair at infinite distance",
+                )
+            )
+            continue
+        for g, mat in per_grade.items():
+            src, dst = module.rank_at(i, g), module.rank_at(j, g + d)
+            widths = {len(row) for row in mat}
+            if len(mat) != dst or widths - {src}:
+                cols = "/".join(map(str, sorted(widths))) or "0"
+                violations.append(
+                    ModuleViolation(
+                        "ShapeMismatch",
+                        (space.points[i], space.points[j], g),
+                        f"matrix is {len(mat)}x{cols}, expected {dst}x{src}",
+                    )
+                )
+    if violations:
+        return violations
+    for i in range(n):
+        for j in range(n):
+            dij = space.d(i, j)
+            if dij is INF:
+                continue
+            for k in range(n):
+                djk = space.d(j, k)
+                if djk is INF:
+                    continue
+                dik = space.d(i, k)
+                between = dik is not INF and dij + djk == dik
+                for g in module.components[i]:
+                    left = product(module.action_matrix(j, k, g + dij), module.action_matrix(i, j, g))
+                    right = module.action_matrix(i, k, g) if between else []
+                    if nonzero(left) != nonzero(right):
+                        violations.append(
+                            ModuleViolation(
+                                "CompositionViolation",
+                                (space.points[i], space.points[j], space.points[k], g),
+                                "M(y,z) M(x,y) differs from the betweenness rule",
+                            )
+                        )
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,31 @@ from maghom.chain import (
     tuple_grade,
     tuples_up_to_grade,
 )
-from maghom.distmod import DistanceModule, representable_module, trivial_module
+from maghom.distmod import (
+    DistanceModule,
+    direct_sum,
+    representable_module,
+    shift_module,
+    trivial_module,
+)
 from maghom.errors import InvalidField, UnvalidatedModule
-from maghom.gen import random_space
+from maghom.gen import random_digraph, random_module, random_space
 from maghom.instances import c3, k2, x2
 from maghom.linalg import QQ, PrimeField
-from maghom.space import INF, attainable_grades, opposite_space, validate_space
+from maghom.space import (
+    INF,
+    attainable_grades,
+    digraph_to_space,
+    opposite_space,
+    validate_space,
+)
 
 from oracles import (
+    dense_rows,
     exhaustive_grades,
     exhaustive_tuples,
     exhaustive_tuples_up_to,
+    reference_coefficient_boundary,
     walk_count_euler_characteristic,
 )
 
@@ -184,7 +198,7 @@ def test_coefficients_representable_x2():
     # n=1: the generator m_a (x) (a, b)
     assert cx.bases[1] == [((0, 1), 0)]
     d1 = cx.boundary(1)
-    assert d1.to_dense() == [[1]]
+    assert dense_rows(d1) == [[1]]
     h0 = cx.homology(0)
     assert h0.betti == 0 and not h0.torsion
 
@@ -194,6 +208,31 @@ def test_coefficients_complex_verifies():
     rep = representable_module(s, "a")
     for g in (1, 2, 3):
         assert magnitude_complex_with_coefficients(s, rep, g, 3).verify()
+
+
+def test_coefficient_boundaries_match_reference():
+    cases = []
+    for seed in range(12):
+        space = digraph_to_space(random_digraph(3 + seed % 3, seed, 0.5))
+        module = random_module(space, seed)
+        cases.append((space, direct_sum(module, module) if seed % 2 else module))
+    # half-unit and infinite distances, modules shifted off the integers
+    for seed in (5, 19, 28):
+        space = random_space(4, seed)
+        rep = shift_module(representable_module(space, space.points[seed % 4]), Fraction(-1, 2))
+        cases.append((space, direct_sum(rep, trivial_module(space, Fraction(1, 2), 2))))
+    nonzero = 0
+    for space, module in cases:
+        hs = module.grades()
+        for g in sorted({g + h for g in attainable_grades(space, 3) for h in hs}):
+            cx = magnitude_complex_with_coefficients(space, module, g, 2)
+            for n in range(1, 4):
+                src, tgt = cx.basis(n), cx.basis(n - 1)
+                want = reference_coefficient_boundary(space, module, g, n, src, tgt)
+                got = cx.boundary(n)
+                assert list(got.entries.items()) == list(want.entries.items()), (module, g, n)
+                nonzero += got.nnz()
+    assert nonzero
 
 
 def test_coefficients_require_validated_module():

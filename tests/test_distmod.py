@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from maghom import distmod
 from maghom.distmod import (
     DistanceModule,
     coinvariants,
@@ -14,8 +16,11 @@ from maghom.distmod import (
     validate_module,
 )
 from maghom.errors import InvalidInput, UnknownPoint, UnvalidatedModule
-from maghom.gen import random_module
+from maghom.gen import random_digraph, random_module
 from maghom.instances import c3, k2, standard_suite, x2
+from maghom.space import INF, digraph_to_space
+
+from oracles import reference_validate_module
 
 
 def rep_x2():
@@ -244,3 +249,72 @@ def test_functors_require_validation():
         coinvariants(raw)
     with pytest.raises(UnvalidatedModule):
         hom_from_trivial(raw, 0)
+
+
+def _mutated(module, rng):
+    """The module with one stored action corrupted, one action added, or
+    one removed, rebuilt unvalidated; shapes stay right, so the composition
+    law is what can fail."""
+    space = module.space
+    actions = {pair: dict(per_grade) for pair, per_grade in module.actions.items()}
+    kind = rng.choice(["corrupt", "extra", "missing"])
+    stored = sorted((pair, g) for pair, per_grade in actions.items() for g in per_grade)
+    if kind == "extra" or not stored:
+        n = len(space)
+        slots = [
+            ((i, j), g)
+            for i in range(n)
+            for j in range(n)
+            if i != j and space.d(i, j) is not INF
+            for g in module.components[i]
+            if module.rank_at(j, g + space.d(i, j))
+        ]
+        if slots:
+            (i, j), g = rng.choice(slots)
+            rows, cols = module.rank_at(j, g + space.d(i, j)), module.rank_at(i, g)
+            mat = [[rng.choice([-1, 1, 2]) for _ in range(cols)] for _ in range(rows)]
+            actions.setdefault((i, j), {})[g] = mat
+    elif kind == "corrupt":
+        pair, g = rng.choice(stored)
+        mat = [list(row) for row in actions[pair][g]]
+        r, c = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
+        mat[r][c] += rng.choice([-1, 1])
+        actions[pair][g] = mat
+    else:
+        pair, g = rng.choice(stored)
+        del actions[pair][g]
+    components = {i: dict(comp) for i, comp in enumerate(module.components)}
+    return DistanceModule(space, components, actions)
+
+
+def test_sparse_validator_matches_the_dense_triple_loop():
+    spaces = [space for _, space in standard_suite()]
+    spaces += [digraph_to_space(random_digraph(n, seed, 0.4)) for n, seed in ((4, 1), (5, 7), (6, 9))]
+    rng = random.Random(0)
+    broken = ordered = 0
+    for case in range(240):
+        space = spaces[case % len(spaces)]
+        module = random_module(space, case)
+        for candidate in (module, _mutated(module, rng), _mutated(_mutated(module, rng), rng)):
+            want = reference_validate_module(space, candidate)
+            assert validate_module(space, candidate) == want, (case, candidate)
+            broken += len(want) > 0
+            ordered += len(want) > 1
+    # the mutations break the composition law often, and often at more than
+    # one triple, so the order of the list is pinned too
+    assert broken >= 90 and ordered >= 25
+
+
+def test_trivial_module_validates_without_products(monkeypatch):
+    calls = []
+    product = distmod._mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(distmod, "_mat_mul", counted)
+    space = digraph_to_space(random_digraph(10, 3, 0.3))
+    module = trivial_module(space, 1, 2)
+    assert module.validated
+    assert calls == []

@@ -1,27 +1,31 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maghom.chain import magnitude_complex, magnitude_complex_with_coefficients
 from maghom.distmod import direct_sum, representable_module, shift_module, trivial_module
 from maghom.errors import ResolutionTooShort, SpaceMismatch, UnvalidatedModule
-from maghom.gen import random_module
+from maghom.gen import random_digraph, random_module, random_space
 from maghom.instances import c3, k2, x2
 from maghom.linalg import QQ, PrimeField
 from maghom.resolution import (
     _components,
+    _module_matrix,
     bar_resolution,
     ext_bidegree,
     resolution_homology,
     tor_bidegree,
 )
-from maghom.space import INF
+from maghom.space import INF, attainable_grades, digraph_to_space
 
 from oracles import (
     exhaustive_tuples_up_to,
     full_scan_ext_space,
     full_scan_tor_space,
     positional_bar_boundary,
+    reference_module_matrix,
     walk_grade,
 )
 
@@ -649,7 +653,7 @@ def test_ext_with_module_coefficients_matches_dual_complex():
 def test_degree_zero_matches_module_functors():
     # coinvariants are Tor_0; invariants ranks are Ext^0 over the rationals
     from maghom.distmod import coinvariants, invariants
-    from maghom.gen import random_module
+    from maghom.gen import random_digraph, random_module, random_space
 
     for name, space in (("X2", x2()), ("C3", c3()), ("K2", k2())):
         for seed in (1, 6):
@@ -746,3 +750,67 @@ def test_tor_matches_chain_with_coefficients_on_fractional_distances():
                         n,
                         g,
                     )
+
+
+@st.composite
+def coefficient_modules(draw):
+    """A space of 1..4 points with a valid module over it: `random_module`
+    over a random digraph, or over a space with half-unit and infinite
+    distances a representable row shifted by a half-unit plus trivial
+    pieces; either one summed with itself half the time, so that points
+    carry pieces of rank 2 and more."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        space = digraph_to_space(random_digraph(n, draw(st.integers(0, 99))))
+        module = random_module(space, draw(st.integers(0, 99)))
+    else:
+        space = random_space(n, draw(st.integers(0, 99)))
+        rep = representable_module(space, draw(st.sampled_from(space.points)))
+        shift = Fraction(draw(st.integers(-2, 2)), 2)
+        trivial = trivial_module(space, Fraction(draw(st.integers(0, 4)), 2), draw(st.integers(0, 2)))
+        module = direct_sum(shift_module(rep, shift), trivial)
+    if draw(st.booleans()):
+        module = direct_sum(module, module)
+    return space, module
+
+
+def _check_module_matrices(space, module, n_max=3, l_max=3):
+    """_module_matrix equals the reference, entry by entry and in dict
+    order, at every degree and every grade a component reaches, on both
+    resolutions.  Returns (identity pair terms met, repeated faces met)."""
+    hs = module.grades()
+    grades = sorted({g + s * h for g in attainable_grades(space, l_max) for h in hs for s in (1, -1)})
+    identities = repeated = 0
+    for side in ("left", "right"):
+        res = bar_resolution(space, side, n_max, l_max)
+        for k in range(1, n_max + 1):
+            terms = res.gen_boundary_terms(k)
+            for g in grades:
+                src = _components(res, module, k, g)
+                tgt = _components(res, module, k - 1, g)
+                got = _module_matrix(res, module, k, src, tgt)
+                want = reference_module_matrix(res, module, k, g, src, tgt)
+                assert list(got.entries.items()) == list(want.entries.items()), (side, k, g)
+                reached = {ti for ti, _, _ in tgt}
+                for gi, _, _ in src:
+                    hit = [ti for _, pair, ti in terms[gi] if ti in reached]
+                    repeated += len(hit) - len(set(hit))
+                    identities += sum(
+                        1 for _, pair, ti in terms[gi] if pair and pair[0] == pair[1] and ti in reached
+                    )
+    return identities, repeated
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=coefficient_modules())
+def test_module_matrix_matches_reference(case):
+    _check_module_matrices(*case)
+
+
+def test_module_matrix_reference_meets_doubled_points_and_repeated_faces():
+    # X2 with the representable row at a, twice: the left generator (a, b, b)
+    # reaches (a, b) by deleting either b, and (a, a, b) frees the pair (a, a)
+    space = x2()
+    rep = representable_module(space, "a")
+    identities, repeated = _check_module_matrices(space, direct_sum(rep, rep))
+    assert identities and repeated

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import dense_solve
+from oracles import dense_rows, dense_solve
 
 from maghom.chain import enumerate_tuples, magnitude_cochain_complex
 from maghom.errors import NotACocycle, ResolutionTooShort, SpaceMismatch
@@ -344,7 +344,7 @@ def _dense_target(space, n, grade, fld):
     reps = cohomology_classes(space, n, grade, fld).representatives
     columns = [cochain_vector(r, basis) for r in reps]
     if n >= 1:
-        columns += [list(col) for col in zip(*cx.coboundary(n - 1).to_dense())]
+        columns += [list(col) for col in zip(*dense_rows(cx.coboundary(n - 1)))]
     return basis, len(reps), columns
 
 
