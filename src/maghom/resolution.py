@@ -17,9 +17,9 @@ Tensoring a right module against the left resolution and Hom-ing the right
 resolution into a right module then reduce to finite integer matrices,
 giving a computation of Tor and Ext independent of the chain-complex route.
 Both are one module complex: the Hom coboundaries are read as the transposed
-maps that the same builder assembles on the right resolution.  It sums its
-entries, as an unnormalized generator can give one face twice, and reads
-only stored actions: (x, x) acts as the identity, a pair with none as zero.
+maps that the same builder assembles on the right resolution.  The tuples
+are unnormalized, but a run of equal points cancels to at most one term, so
+the builder writes each entry once, reading only stored actions.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class BarResolution:
         (t[0], t[1]) times the generator t[1:], a right one the generator
         t[:-1] times the pair (t[-2], t[-1]).  A coefficient-1 term keeps
         the pair; a freed pair multiplies into it when betweenness holds.
-        """
+        The faces are distinct, so each entry is written once."""
         terms = self.gen_boundary_terms(n)
         between = self.space.between_idx
         left = self.side == "left"
@@ -110,7 +110,7 @@ class BarResolution:
                 if pair is not None and not (between(x, *pair) if left else between(*pair, x)):
                     continue
                 face = (x,) + targets[ti] if left else targets[ti] + (x,)
-                mat.add_at(row_of[face], col, sign)
+                mat.entries[row_of[face], col] = sign
         return mat
 
     def _basis_groups(self, n: int):
@@ -150,8 +150,11 @@ class BarResolution:
         """Differential on free generators, one list of terms per generator.
 
         Each term is (sign, pair, target_gen_index): pair is None for a
-        coefficient-1 term, or the algebra pair picked up by the deletion
-        next to the kept end (acting on the module side after translation).
+        coefficient-1 term, or the two-point algebra pair picked up by the
+        deletion next to the kept end.  Deleting any point of a run of equal
+        points is a term (a pair (x, x) is the identity) onto one face, with
+        alternating signs: an even run cancels, an odd one keeps its first
+        point.  Deletions outside a common run give distinct faces.
         """
         self._check_degree(n, 1)
         if n in self._gen_terms:
@@ -162,21 +165,27 @@ class BarResolution:
         out = []
         for a in self.gens[n]:
             terms = []
-            # a left generator (x_0; x_0..x_n) frees (x_0, x_1) at face 0, a
-            # right one (x_0..x_n; x_n) frees (x_{n-1}, x_n) at face n
-            if left:
-                terms.append((1, (a[0], a[1]), tgt[a[1:]]))
-            elif a[0] == a[1]:
-                terms.append((1, None, tgt[a[1:]]))
-            # a generator's steps are finite: betweenness needs only a[i-1] -> a[i+1]
-            for i in range(1, n):
-                ac = scaled[a[i - 1]][a[i + 1]]
-                if ac is not None and scaled[a[i - 1]][a[i]] + scaled[a[i]][a[i + 1]] == ac:
-                    terms.append((-1 if i % 2 else 1, None, tgt[a[:i] + a[i + 1 :]]))
-            if not left:
-                terms.append((-1 if n % 2 else 1, (a[n - 1], a[n]), tgt[a[:-1]]))
-            elif a[n - 1] == a[n]:
-                terms.append((-1 if n % 2 else 1, None, tgt[a[:-1]]))
+            i = 0
+            while i <= n:
+                x = a[i]
+                j = i + 1
+                while j <= n and a[j] == x:
+                    j += 1
+                if j - i > 1:
+                    if (j - i) % 2:
+                        terms.append((-1 if i % 2 else 1, None, tgt[a[:i] + a[i + 1 :]]))
+                elif 0 < i < n:
+                    # a generator's steps are finite: betweenness needs only a[i-1] -> a[i+1]
+                    w, y = a[i - 1], a[j]
+                    wy = scaled[w][y]
+                    if wy is not None and scaled[w][x] + scaled[x][y] == wy:
+                        terms.append((-1 if i % 2 else 1, None, tgt[a[:i] + a[j:]]))
+                # face 0 of a left generator frees (x_0, x_1), face n of a right one (x_n-1, x_n)
+                elif left and i == 0:
+                    terms.append((1, (x, a[1]), tgt[a[1:]]))
+                elif not left and i == n:
+                    terms.append((-1 if n % 2 else 1, (a[i - 1], x), tgt[a[:-1]]))
+                i = j
             out.append(terms)
         self._gen_terms[n] = out
         return out
@@ -240,11 +249,10 @@ def _module_matrix(res, module, k, src, tgt):
     forward out of the source generator's component, on the right back from
     the target generator's component through the transposed action.
 
-    Entries go straight into the matrix in term order and are summed, a
-    zero sum dropped: the left (x, y, y) reaches (x, y) by deleting either
-    y, with opposite signs.  A pair (x, x) is the identity, one entry at
-    row + j; a pair with no stored action is zero and builds no matrix; a
-    stored action's column j is read once per (pair, grade, j)."""
+    Each entry is written once, in term order: a generator's terms have
+    distinct targets, which own disjoint rows.  A pair with no stored
+    action is zero and builds no matrix; a stored action's column j is
+    read once per (pair, grade, j)."""
     left = res.side == "left"
     first = {ti: (row, h) for row, (ti, h, j) in enumerate(tgt) if j == 0}
     terms = res.gen_boundary_terms(k)
@@ -258,13 +266,8 @@ def _module_matrix(res, module, k, src, tgt):
             if target is None:
                 continue
             row, th = target
-            if pair is None or pair[0] == pair[1]:
-                key = (row + j, col)
-                v = entries.get(key, 0) + sign
-                if v:
-                    entries[key] = v
-                else:
-                    del entries[key]
+            if pair is None:
+                entries[row + j, col] = sign
                 continue
             per_grade = stored.get(pair)
             if per_grade is None:
@@ -278,12 +281,7 @@ def _module_matrix(res, module, k, src, tgt):
                 coeffs = [r[j] for r in action] if left else action[j]
                 column = columns[pair, at, j] = [(i, v) for i, v in enumerate(coeffs) if v]
             for i, v in column:
-                key = (row + i, col)
-                v = entries.get(key, 0) + sign * v
-                if v:
-                    entries[key] = v
-                else:
-                    del entries[key]
+                entries[row + i, col] = sign * v
     return mat
 
 

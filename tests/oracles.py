@@ -328,6 +328,38 @@ def positional_bar_boundary(res, n):
     return {key: v for key, v in out.items() if v}
 
 
+def reference_gen_boundary_terms(res, n):
+    """A bar resolution's degree-n differential on free generators, from the
+    definition: one {target_gen_index: {pair: coefficient}} per generator.
+
+    Each generator's basis tuple (its kept end doubled) loses one position
+    at a time as in `positional_bar_boundary`; a face that keeps the grade
+    is an algebra pair (its first two points on the left, its last two on
+    the right) times a degree-(n-1) generator, and a pair of one point is
+    multiplied out as the identity (pair None).  Terms are summed by target
+    and pair, and a zero sum is dropped."""
+    space, left = res.space, res.side == "left"
+    gen_index = {t: i for i, t in enumerate(res.gens[n - 1])}
+    out = []
+    for a in res.gens[n]:
+        t = (a[0],) + a if left else a + (a[-1],)
+        sums = {}
+        for i in range(n + 1):
+            p = i + 1 if left else i
+            face = t[:p] + t[p + 1 :]
+            if walk_grade(space, face) != walk_grade(space, t):
+                continue
+            pair, gen = (face[:2], face[1:]) if left else (face[-2:], face[:-1])
+            key = (gen_index[gen], None if pair[0] == pair[1] else pair)
+            sums[key] = sums.get(key, 0) + (-1 if i % 2 else 1)
+        terms = {}
+        for (ti, pair), v in sums.items():
+            if v:
+                terms.setdefault(ti, {})[pair] = v
+        out.append(terms)
+    return out
+
+
 def reference_module_matrix(res, module, k, grade, src, tgt):
     """The module complex's map from degree k to k-1 at one grade, from the
     definition: each degree-k generator's basis tuple (its kept end doubled)

@@ -25,6 +25,7 @@ from oracles import (
     full_scan_ext_space,
     full_scan_tor_space,
     positional_bar_boundary,
+    reference_gen_boundary_terms,
     reference_module_matrix,
     walk_grade,
 )
@@ -220,6 +221,76 @@ def test_tuple_differential_matches_positional_deletions():
                 mat = res.boundary(n)
                 assert (mat.rows, mat.cols) == (len(res.basis[n - 1]), len(res.basis[n]))
                 assert mat.entries == positional_bar_boundary(res, n), (side, n)
+
+
+def _runs(a):
+    """(start, length) of each maximal run of equal points in a."""
+    out, p = [], 0
+    for i in range(1, len(a) + 1):
+        if i == len(a) or a[i] != a[p]:
+            out.append((p, i - p))
+            p = i
+    return out
+
+
+def _check_gen_terms(res):
+    """gen_boundary_terms equals the definition's oracle at every degree,
+    as target -> {pair: sign} maps, and no term list repeats a target or
+    holds a one-point pair.  Returns the (place, length) of every run of
+    equal points the generators hold, place "start", "end" or "inside"."""
+    met = set()
+    for n in range(1, res.n_max + 1):
+        want = reference_gen_boundary_terms(res, n)
+        for a, terms, ref in zip(res.gens[n], res.gen_boundary_terms(n), want):
+            got = {ti: {pair: sign} for sign, pair, ti in terms}
+            assert len(got) == len(terms), (res.side, a)
+            assert all(pair is None or pair[0] != pair[1] for _, pair, _ in terms), (res.side, a)
+            assert got == ref, (res.side, a)
+            for p, length in _runs(a):
+                if p == 0:
+                    met.add(("start", length))
+                if p + length == len(a):
+                    met.add(("end", length))
+                if 0 < p < len(a) - length:
+                    met.add(("inside", length))
+    return met
+
+
+@st.composite
+def small_resolutions(draw):
+    """A bar resolution of degree 1..4, either side, over a random digraph
+    or a space with half-unit and infinite distances, of 1..4 points."""
+    points, seed = draw(st.integers(1, 4)), draw(st.integers(0, 99))
+    if draw(st.booleans()):
+        space = digraph_to_space(random_digraph(points, seed))
+    else:
+        space = random_space(points, seed)
+    side = draw(st.sampled_from(("left", "right")))
+    return bar_resolution(space, side, draw(st.integers(1, 4)), Fraction(draw(st.integers(0, 6)), 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(res=small_resolutions())
+def test_gen_boundary_terms_match_reference(res):
+    _check_gen_terms(res)
+
+
+def test_gen_boundary_terms_meet_every_run_place():
+    # random_space(4, 37) has half-unit and infinite distances; degree 5
+    # holds runs of 1..4 equal points at either end and inside
+    met = set()
+    for side in ("left", "right"):
+        met |= _check_gen_terms(bar_resolution(random_space(4, 37), side, 5, 1))
+    assert met >= {(place, length) for place in ("start", "end", "inside") for length in range(1, 5)}
+
+
+def test_one_arc_generators_keep_few_terms():
+    # on a -> b every generator is (a,)*k + (b,)*m: two runs and one pair
+    # at most, however long the runs
+    for side in ("left", "right"):
+        res = bar_resolution(x2(), side, 29, 1)
+        for n in range(1, 30):
+            assert max(map(len, res.gen_boundary_terms(n))) <= 3, (side, n)
 
 
 def test_one_bidegree_lists_each_degree_once(monkeypatch):
@@ -777,28 +848,27 @@ def coefficient_modules(draw):
 def _check_module_matrices(space, module, n_max=3, l_max=3):
     """_module_matrix equals the reference, entry by entry and in dict
     order, at every degree and every grade a component reaches, on both
-    resolutions.  Returns (identity pair terms met, repeated faces met)."""
+    resolutions.  Returns how many source generators (counted once per
+    matrix) hold an even run of equal points, and how many an odd run of
+    three or more: the reference meets their repeated faces and one-point
+    pairs, which the package's terms cancel."""
     hs = module.grades()
     grades = sorted({g + s * h for g in attainable_grades(space, l_max) for h in hs for s in (1, -1)})
-    identities = repeated = 0
+    even = odd = 0
     for side in ("left", "right"):
         res = bar_resolution(space, side, n_max, l_max)
         for k in range(1, n_max + 1):
-            terms = res.gen_boundary_terms(k)
             for g in grades:
                 src = _components(res, module, k, g)
                 tgt = _components(res, module, k - 1, g)
                 got = _module_matrix(res, module, k, src, tgt)
                 want = reference_module_matrix(res, module, k, g, src, tgt)
                 assert list(got.entries.items()) == list(want.entries.items()), (side, k, g)
-                reached = {ti for ti, _, _ in tgt}
-                for gi, _, _ in src:
-                    hit = [ti for _, pair, ti in terms[gi] if ti in reached]
-                    repeated += len(hit) - len(set(hit))
-                    identities += sum(
-                        1 for _, pair, ti in terms[gi] if pair and pair[0] == pair[1] and ti in reached
-                    )
-    return identities, repeated
+                for gi in {gi for gi, _, _ in src}:
+                    lengths = [length for _, length in _runs(res.gens[k][gi])]
+                    even += any(length % 2 == 0 for length in lengths)
+                    odd += any(length % 2 and length > 1 for length in lengths)
+    return even, odd
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -808,9 +878,10 @@ def test_module_matrix_matches_reference(case):
 
 
 def test_module_matrix_reference_meets_doubled_points_and_repeated_faces():
-    # X2 with the representable row at a, twice: the left generator (a, b, b)
-    # reaches (a, b) by deleting either b, and (a, a, b) frees the pair (a, a)
+    # X2 with the representable row at a, twice: in the reference the left
+    # generator (a, b, b) reaches (a, b) by deleting either b, and (a, a, b)
+    # frees the pair (a, a); the package's terms cancel both runs first
     space = x2()
     rep = representable_module(space, "a")
-    identities, repeated = _check_module_matrices(space, direct_sum(rep, rep))
-    assert identities and repeated
+    even, odd = _check_module_matrices(space, direct_sum(rep, rep))
+    assert even and odd
