@@ -11,6 +11,7 @@ Validation failures exit nonzero with a machine-readable error object;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -362,7 +363,9 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(message)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="maghom",
         description="Magnitude homology of finite quasimetric spaces and digraphs",

@@ -164,13 +164,13 @@ def relations_report(relations) -> dict:
 
 
 def ring_table_json(table) -> dict:
-    classes = {
-        f"{n},{format_dist(g)}": cs.dim() for (n, g), cs in sorted(table.classes.items())
-    }
+    # every product's factors are classes of the table: each grade is formatted once
+    label = {g: format_dist(g) for _, g in table.classes}
+    classes = {f"{n},{label[g]}": cs.dim() for (n, g), cs in sorted(table.classes.items())}
     products = [
         {
-            "lhs": [p["lhs"][0], format_dist(p["lhs"][1]), p["lhs"][2]],
-            "rhs": [p["rhs"][0], format_dist(p["rhs"][1]), p["rhs"][2]],
+            "lhs": [p["lhs"][0], label[p["lhs"][1]], p["lhs"][2]],
+            "rhs": [p["rhs"][0], label[p["rhs"][1]], p["rhs"][2]],
             "result": [[str(c), k] for c, k in p["result"]],
         }
         for p in table.products

@@ -110,16 +110,22 @@ class CohomologyClassSet:
         return len(self.representatives)
 
 
-def cohomology_classes(space, n, grade, fld) -> CohomologyClassSet:
+def cohomology_classes(space, n, grade, fld, cx=None) -> CohomologyClassSet:
     """ker delta_n modulo im delta_{n-1}, with deterministic representatives.
 
     The kernel is put in reduced column-echelon form; representatives are
     the echelon vectors that remain independent after the coboundary image
-    is spanned first, in order.
+    is spanned first, in order.  cx is the grade's cochain complex through
+    degree n or beyond, if one is built already; without it one is built.
     """
     check_field(fld)
     grade = parse_dist(grade)
-    cx = magnitude_cochain_complex(space, grade, n, fld)
+    if cx is None:
+        cx = magnitude_cochain_complex(space, grade, n, fld)
+    elif (cx.grade, cx.field) != (grade, fld) or n > cx.n_max:
+        raise ValueError(
+            f"cochain complex at ({cx.n_max}, {cx.grade}) does not serve ({n}, {grade})"
+        )
     basis_n = cx.basis(n)
     kernel = kernel_basis_over_field(cx.coboundary(n), fld)
     cob_cols = sparse_columns(cx.coboundary(n - 1), fld)
@@ -315,40 +321,46 @@ class RingTable:
 def ring_table(space, n_max: int, l_max, fld) -> RingTable:
     """Products of all basis classes whose target stays inside the box.
 
-    Each product is expanded in the representative basis of the target
-    bidegree after reduction modulo coboundaries; coefficients are emitted
-    as structure constants.
+    Each grade's cochain complex is built once and shared by its degrees.
+    cup(psi, phi) joins a front ending where a back starts, so a pair is
+    cupped only when some last point of psi is a first point of phi; every
+    other pair, and every product that is zero, has the empty result.  The
+    nonzero products of all blocks that share a target bidegree are expanded
+    in its representative basis, modulo coboundaries, against one span.
     """
     from .space import attainable_grades
 
     check_field(fld)
     l_max = parse_dist(l_max)
     grades = attainable_grades(space, l_max)
+    complexes = {g: magnitude_cochain_complex(space, g, n_max, fld) for g in grades}
     built = {
-        (n, g): cohomology_classes(space, n, g, fld) for g in grades for n in range(n_max + 1)
+        (n, g): cohomology_classes(space, n, g, fld, cx=complexes[g])
+        for g in grades
+        for n in range(n_max + 1)
     }
     classes = {key: cs for key, cs in built.items() if cs.dim()}
-    products = []
+    ends = {
+        key: [({t[0] for t in r.coeffs}, {t[-1] for t in r.coeffs}) for r in cs.representatives]
+        for key, cs in classes.items()
+    }
+    products, found = [], {}  # found: target -> [(product index, nonzero cochain)]
     for (m, s), left_cs in sorted(classes.items()):
         for (n, l), right_cs in sorted(classes.items()):
             if m + n > n_max or s + l > l_max:
                 continue
-            target_key = (m + n, s + l)
-            target = built.get(target_key)
-            if target is None:
-                target = built[target_key] = cohomology_classes(space, *target_key, fld)
-            pairs = [(i, j) for i in range(left_cs.dim()) for j in range(right_cs.dim())]
-            prods = [
-                cup(left_cs.representatives[i], right_cs.representatives[j]) for i, j in pairs
-            ]
-            for (i, j), result in zip(pairs, _class_coordinates(target, prods, fld)):
-                products.append(
-                    {
-                        "lhs": (m, s, i),
-                        "rhs": (n, l, j),
-                        "result": [(v, k) for k, v in sorted(result.items())],
-                    }
-                )
+            for i, (_, lasts) in enumerate(ends[m, s]):
+                for j, (firsts, _) in enumerate(ends[n, l]):
+                    if not lasts.isdisjoint(firsts):
+                        prod = cup(left_cs.representatives[i], right_cs.representatives[j])
+                        if prod.coeffs:
+                            found.setdefault((m + n, s + l), []).append((len(products), prod))
+                    products.append({"lhs": (m, s, i), "rhs": (n, l, j), "result": []})
+    # a nonzero product's support walks at its grade, so the grade is attainable
+    for key, pending in found.items():
+        coords = _class_coordinates(built[key], [c for _, c in pending], fld)
+        for (k, _), result in zip(pending, coords):
+            products[k]["result"] = [(v, c) for c, v in sorted(result.items())]
     return RingTable(
         space=space, fld=fld, n_max=n_max, l_max=l_max, classes=classes, products=products
     )

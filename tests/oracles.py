@@ -9,7 +9,9 @@ the definitions that the package's own builders bypass.  The reference
 Smith elimination at the end: its peel
 of the unit pivots is written apart, but its block search keeps the
 package's row and column operations (`_clear`), and it pins the order in
-which the package picks its pivots.
+which the package picks its pivots.  And the ring products reference,
+which pins the loop of the ring table and not its parts: it reuses the
+package's class sets, cup product and class coordinates.
 """
 
 from fractions import Fraction
@@ -358,6 +360,42 @@ def reference_gen_boundary_terms(res, n):
                 terms.setdefault(ti, {})[pair] = v
         out.append(terms)
     return out
+
+
+def reference_ring_products(space, n_max, l_max, fld):
+    """A ring table's products, by cupping every pair of basis classes: each
+    (left, right) block whose target stays in the box is expanded against
+    its target with one `_class_coordinates` call, zero products included.
+    Each grade's classes are built from their own complex at each degree."""
+    from maghom.ring import _class_coordinates, cohomology_classes, cup
+    from maghom.space import attainable_grades, parse_dist
+
+    l_max = parse_dist(l_max)
+    built = {
+        (n, g): cohomology_classes(space, n, g, fld)
+        for g in attainable_grades(space, l_max)
+        for n in range(n_max + 1)
+    }
+    classes = {key: cs for key, cs in built.items() if cs.dim()}
+    products = []
+    for (m, s), left in sorted(classes.items()):
+        for (n, l), right in sorted(classes.items()):
+            if m + n > n_max or s + l > l_max:
+                continue
+            key = (m + n, s + l)
+            if key not in built:
+                built[key] = cohomology_classes(space, *key, fld)
+            pairs = [(i, j) for i in range(left.dim()) for j in range(right.dim())]
+            prods = [cup(left.representatives[i], right.representatives[j]) for i, j in pairs]
+            for (i, j), result in zip(pairs, _class_coordinates(built[key], prods, fld)):
+                products.append(
+                    {
+                        "lhs": (m, s, i),
+                        "rhs": (n, l, j),
+                        "result": [(v, k) for k, v in sorted(result.items())],
+                    }
+                )
+    return products
 
 
 def reference_module_matrix(res, module, k, grade, src, tgt):

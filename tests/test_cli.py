@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import maghom
 from maghom import io as mio
-from maghom.cli import FORMATS, emit, main, parse_field_flag
+from maghom.cli import FORMATS, build_parser, emit, main, parse_field_flag
 from maghom.errors import InvalidField, UnsupportedFormat
 from maghom.instances import directed_cycle, k2_digraph
 from maghom.linalg import QQ, PrimeField
@@ -648,3 +652,26 @@ def test_crosscheck_is_integral_only(capsys, c3_file):
         assert err["error"] == "InvalidField"
     code, _ = run(capsys, "crosscheck", c3_file, "--nmax", "1", "--lmax", "1", "--field", "Z")
     assert code == 0
+
+
+def test_one_parser_serves_failing_and_good_calls(capsys, k2_file):
+    # the parser is built once per process; a call that fails in parsing or
+    # in its checks must leave nothing behind for the next call
+    calls = [
+        ("mh", k2_file, "--field", "R"),
+        ("mh", k2_file, "--nmax", "-1"),
+        ("ring", k2_file, "--nmax", "2", "--lmax", "2", "--field", "Q", "--format", "json"),
+        ("mh", k2_file, "--bogus"),
+        ("mh", k2_file, "--nmax", "2", "--lmax", "2"),
+    ]
+    together = [run(capsys, *argv) for argv in calls]
+    env = dict(os.environ, PYTHONPATH=str(Path(maghom.__file__).parents[1]))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "maghom.cli", *argv], capture_output=True, text=True, env=env
+        )
+        fresh.append((proc.returncode, proc.stdout))
+    assert together == fresh
+    assert [code for code, _ in together] == [1, 1, 0, 1, 0]
+    assert build_parser() is build_parser()

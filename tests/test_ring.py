@@ -2,7 +2,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import dense_rows, dense_solve
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dense_rows, dense_solve, reference_ring_products
 
 from maghom.chain import enumerate_tuples, magnitude_cochain_complex
 from maghom.errors import NotACocycle, ResolutionTooShort, SpaceMismatch
@@ -325,15 +327,121 @@ def test_ring_table_builds_each_bidegree_once(monkeypatch):
     for space, n_max, l_max in ((c3(), 2, 2), (random_space(4, 3), 2, 2)):
         calls = []
 
-        def counted(space, n, grade, fld, orig=ring.cohomology_classes):
+        def counted(space, n, grade, fld, orig=ring.cohomology_classes, **kwargs):
             calls.append((n, grade))
-            return orig(space, n, grade, fld)
+            return orig(space, n, grade, fld, **kwargs)
 
         monkeypatch.setattr(ring, "cohomology_classes", counted)
         table = ring_table(space, n_max, l_max, QQ)
         monkeypatch.undo()
         assert len(calls) == len(set(calls))
         assert all(cs.dim() for cs in table.classes.values())
+
+
+def test_shared_complex_gives_the_same_classes():
+    space = random_space(5, 4)
+    for fld in (QQ, PrimeField(3)):
+        for g in (0, Fraction(3, 2), 2):
+            cx = magnitude_cochain_complex(space, g, 3, fld)
+            for n in range(4):
+                alone = cohomology_classes(space, n, g, fld)
+                assert cohomology_classes(space, n, g, fld, cx=cx) == alone
+    cx = magnitude_cochain_complex(space, 2, 2, QQ)
+    for n, g, fld in ((3, 2, QQ), (1, 1, QQ), (1, 2, PrimeField(2))):
+        with pytest.raises(ValueError, match="does not serve"):
+            cohomology_classes(space, n, g, fld, cx=cx)
+
+
+def _meet(psi, phi):
+    return not {t[-1] for t in psi.coeffs}.isdisjoint(t[0] for t in phi.coeffs)
+
+
+@st.composite
+def ring_cases(draw):
+    """Random spaces (half-unit and infinite distances) and random digraphs,
+    with a field and a box."""
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        space = random_space(draw(st.integers(3, 5)), seed)
+    else:
+        space = digraph_to_space(random_digraph(draw(st.integers(4, 6)), seed, 0.35))
+    fld = draw(st.sampled_from((QQ, PrimeField(2), PrimeField(3))))
+    n_max = draw(st.integers(1, 3))
+    l_max = draw(st.sampled_from([Fraction(k, 2) for k in range(2, 7)]))
+    return space, n_max, l_max, fld
+
+
+def test_ring_table_matches_reference_products_and_skips_what_cannot_meet():
+    import maghom.ring as ring
+    from maghom.space import attainable_grades
+
+    skipped = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=ring_cases())
+    def check(case):
+        space, n_max, l_max, fld = case
+        cups, nonzero, solved, solves, grades = [], set(), [], [], []
+
+        def counted_cup(psi, phi, orig=ring.cup):
+            assert _meet(psi, phi)
+            out = orig(psi, phi)
+            cups.append(out)
+            if out.coeffs:
+                nonzero.add((out.n, out.grade))
+            return out
+
+        def counted_coordinates(target, cochains, fld, orig=ring._class_coordinates):
+            solved.append((target.n, target.grade))
+            return orig(target, cochains, fld)
+
+        def counted_solve(*args, orig=ring.solve_in_span):
+            solves.append(1)
+            return orig(*args)
+
+        def counted_complex(space, grade, n_max, fld, orig=ring.magnitude_cochain_complex):
+            grades.append(grade)
+            return orig(space, grade, n_max, fld)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ring, "cup", counted_cup)
+            mp.setattr(ring, "_class_coordinates", counted_coordinates)
+            mp.setattr(ring, "solve_in_span", counted_solve)
+            mp.setattr(ring, "magnitude_cochain_complex", counted_complex)
+            table = ring_table(space, n_max, l_max, fld)
+        assert table.products == reference_ring_products(space, n_max, l_max, fld)
+        reps = {key: cs.representatives for key, cs in table.classes.items()}
+        meeting = sum(
+            _meet(reps[p["lhs"][:2]][p["lhs"][2]], reps[p["rhs"][:2]][p["rhs"][2]])
+            for p in table.products
+        )
+        assert len(cups) == meeting
+        assert sorted(solved) == sorted(nonzero) and len(solves) == len(nonzero)
+        assert grades == attainable_grades(space, l_max)
+        skipped.append(len(table.products) - len(cups))
+
+    check()
+    assert sum(skipped) > 1000
+
+
+def test_ring_table_sends_no_zero_product_to_a_solve(monkeypatch):
+    # a pair whose endpoints meet has a nonzero cup; a zero one still has the
+    # empty result and no solve
+    import maghom.ring as ring
+
+    space = random_space(5, 2)
+    full = ring_table(space, 2, 2, QQ)
+    assert any(p["result"] for p in full.products)
+
+    def zero(psi, phi):
+        return Cochain(space, psi.n + phi.n, psi.grade + phi.grade, QQ, {})
+
+    monkeypatch.setattr(ring, "cup", zero)
+    monkeypatch.setattr(ring, "_class_coordinates", None)
+    table = ring_table(space, 2, 2, QQ)
+    pairs = [(p["lhs"], p["rhs"]) for p in table.products]
+    assert pairs == [(p["lhs"], p["rhs"]) for p in full.products]
+    assert all(p["result"] == [] for p in table.products)
 
 
 def _dense_target(space, n, grade, fld):
