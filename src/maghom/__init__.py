@@ -46,13 +46,7 @@ from .distmod import (
     trivial_module,
     validate_module,
 )
-from .algebra import (
-    DistanceAlgebra,
-    algebra_multiply,
-    build_distance_algebra,
-    quotient_module_S,
-    radical_power_is_zero,
-)
+from .algebra import DistanceAlgebra, algebra_multiply, radical_power_is_zero
 from .resolution import (
     BarResolution,
     bar_resolution,

@@ -1,11 +1,12 @@
-"""The distance algebra of a finite space and its grade-zero quotient.
+"""The distance algebra of a finite space.
 
 The algebra has one basis element per finite-distance ordered pair (x, y),
 graded by the distance, with product
 (x,y).(y',z) = (x,z) when y = y' and d(x,y) + d(y,z) = d(x,z), else 0.
-The pairs (x,x) form a complete set of orthogonal idempotents; positive
-degree pairs span a nilpotent ideal, and the quotient by it is the direct
-sum of rank-1 pieces in grade 0, one per point.
+The pairs (x,x) form a complete set of orthogonal idempotents, and positive
+degree pairs span a nilpotent ideal.  The quotient by it, one rank-1 piece
+in grade 0 per point, is the distance module ``trivial_module(space, 0, 1)``
+that Tor and Ext resolve.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ class DistanceAlgebra:
 
     def mul_pairs(self, p, q):
         """Product of two basis pairs: a basis pair or None (zero)."""
-        if p[1] != q[0]:
-            return None
-        if self.space.between_idx(p[0], p[1], q[1]):
+        if p[1] == q[0] and p[1] in self.space.middles[p[0]][q[1]]:
             return (p[0], q[1])
         return None
 
@@ -41,7 +40,8 @@ class DistanceAlgebra:
         return {(i, i): 1 for i in range(len(self.space))}
 
     def e(self, x):
-        i = self.space.idx(x) if not isinstance(x, int) else x
+        """The idempotent of the point labelled x."""
+        i = self.space.idx(x)
         return {(i, i): 1}
 
     def pair_of_labels(self, x, y):
@@ -52,10 +52,6 @@ class DistanceAlgebra:
 
     def __repr__(self):
         return f"DistanceAlgebra(points={len(self.space)}, pairs={len(self.basis)})"
-
-
-def build_distance_algebra(space: QuasimetricSpace) -> DistanceAlgebra:
-    return DistanceAlgebra(space)
 
 
 def algebra_multiply(algebra: DistanceAlgebra, u: dict, v: dict) -> dict:
@@ -77,24 +73,20 @@ def algebra_multiply(algebra: DistanceAlgebra, u: dict, v: dict) -> dict:
     return out
 
 
-def element_grade_parts(algebra: DistanceAlgebra, u: dict) -> dict:
-    """Split an element into homogeneous parts keyed by grade."""
-    parts = {}
-    for p, a in u.items():
-        if a:
-            parts.setdefault(algebra.grade(p), {})[p] = a
-    return parts
-
-
 def radical_power_is_zero(algebra: DistanceAlgebra, power: int) -> bool:
     """Check that every product of `power` positive-degree pairs vanishes.
 
     Walks all chains x_0 -> x_1 -> ... -> x_power of distinct consecutive
     points with finite steps, folding the product; the ideal of positive
-    pairs is nilpotent of order at most the number of points.
+    pairs is nilpotent of order at most the number of points.  Its 0-th
+    power is the whole algebra, zero only on the empty space.
     """
+    if power < 0:
+        raise ValueError("power must be nonnegative")
     space = algebra.space
     n = len(space)
+    if power == 0:
+        return n == 0
 
     def walk(current, steps, acc_pair):
         if acc_pair is None:
@@ -116,38 +108,3 @@ def radical_power_is_zero(algebra: DistanceAlgebra, power: int) -> bool:
             if not walk(first, 1, (start, first)):
                 return False
     return True
-
-
-class SimpleQuotient:
-    """The quotient of the algebra by its positive-degree ideal.
-
-    One rank-1 piece per point, all in grade 0; a pair (y, z) acts on the
-    piece at x as the identity when x = y = z and as zero otherwise (on
-    either side).
-    """
-
-    __slots__ = ("algebra",)
-
-    def __init__(self, algebra: DistanceAlgebra):
-        self.algebra = algebra
-
-    def dim(self, grade) -> int:
-        return len(self.algebra.space) if grade == 0 else 0
-
-    def right_action(self, x, pair):
-        """e_x . pair inside the quotient: x (itself) or None."""
-        i = self.algebra.space.idx(x) if not isinstance(x, int) else x
-        return x if pair == (i, i) else None
-
-    def left_action(self, pair, x):
-        i = self.algebra.space.idx(x) if not isinstance(x, int) else x
-        return x if pair == (i, i) else None
-
-    def as_distance_module(self):
-        from .distmod import trivial_module
-
-        return trivial_module(self.algebra.space, 0, 1)
-
-
-def quotient_module_S(algebra: DistanceAlgebra) -> SimpleQuotient:
-    return SimpleQuotient(algebra)

@@ -207,20 +207,16 @@ def _trivial_complex(space: QuasimetricSpace, grade: Fraction, n_max: int, fld) 
     """The trivial-coefficient complex at one grade; the one assembly that
     the chain and cochain complexes share."""
 
-    scaled = space.scaled
-
     def boundary(n, src, tgt):
-        # the steps of a generator are finite, and deleting distinct interior
-        # points of a tuple with no repeated neighbours gives distinct faces,
-        # so each entry is written once
+        # deleting distinct interior points of a tuple with no repeated
+        # neighbours gives distinct faces, so each entry is written once
+        middles = space.middles
         target_index = {t: k for k, t in enumerate(tgt)}
         mat = SparseMatrix(len(tgt), len(src))
         entries = mat.entries
         for col, t in enumerate(src):
             for i in range(1, n):
-                a, b, c = t[i - 1], t[i], t[i + 1]
-                ac = scaled[a][c]
-                if ac is not None and scaled[a][b] + scaled[b][c] == ac:
+                if t[i] in middles[t[i - 1]][t[i + 1]]:
                     entries[target_index[t[:i] + t[i + 1 :]], col] = -1 if i % 2 else 1
         return mat
 
@@ -254,13 +250,13 @@ def magnitude_complex_with_coefficients(space, module, grade, n_max: int) -> Bas
             for j in range(module.rank_at(t[0], grade - g))
         ]
 
-    scaled = space.scaled
     stored = module.actions
 
     def boundary(n, src, tgt):
         # normalized: face 0's targets start at x_1, the interior faces' at
         # x_0 != x_1, and distinct deletions give distinct faces, so each
         # entry is written once
+        middles = space.middles
         target_index = {lab: k for k, lab in enumerate(tgt)}
         mat = SparseMatrix(len(tgt), len(src))
         entries = mat.entries
@@ -274,9 +270,7 @@ def magnitude_complex_with_coefficients(space, module, grade, n_max: int) -> Bas
                         entries[target_index[(tail, i_row)], col] = row[j]
             # interior faces: betweenness deletion, coefficient untouched
             for i in range(1, n):
-                a, b, c = t[i - 1], t[i], t[i + 1]
-                ac = scaled[a][c]
-                if ac is not None and scaled[a][b] + scaled[b][c] == ac:
+                if t[i] in middles[t[i - 1]][t[i + 1]]:
                     entries[target_index[(t[:i] + t[i + 1 :], j)], col] = -1 if i % 2 else 1
         return mat
 

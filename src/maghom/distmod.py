@@ -205,6 +205,7 @@ def validate_module(space: QuasimetricSpace, module: DistanceModule):
     if violations:
         return violations
     actions = module.actions
+    middles = space.middles
     for i in range(n):
         for j in range(n):
             dij = space.d(i, j)
@@ -215,7 +216,7 @@ def validate_module(space: QuasimetricSpace, module: DistanceModule):
                 djk = space.d(j, k)
                 if j == k or djk is INF:
                     continue
-                betw = space.between_idx(i, j, k)
+                betw = j in middles[i][k]
                 jk = actions.get((j, k), {})
                 ik = actions.get((i, k), {}) if betw else {}
                 for g in module.components[i]:
@@ -282,19 +283,12 @@ def representable_module(space: QuasimetricSpace, x) -> DistanceModule:
     for y in range(n):
         d = space.d(xi, y)
         components[y] = {d: 1} if d is not INF else {}
+    from_x = space.middles[xi]
     actions = {}
     for y in range(n):
-        dxy = space.d(xi, y)
-        if dxy is INF:
-            continue
         for z in range(n):
-            if y == z:
-                continue
-            dyz = space.d(y, z)
-            if dyz is INF or space.d(xi, z) is INF:
-                continue
-            if space.between_idx(xi, y, z):
-                actions.setdefault((y, z), {})[dxy] = ((1,),)
+            if y != z and y in from_x[z]:
+                actions.setdefault((y, z), {})[space.d(xi, y)] = ((1,),)
     return _validated(space, components, actions)
 
 

@@ -99,7 +99,7 @@ class BarResolution:
         the pair; a freed pair multiplies into it when betweenness holds.
         The faces are distinct, so each entry is written once."""
         terms = self.gen_boundary_terms(n)
-        between = self.space.between_idx
+        middles = self.space.middles
         left = self.side == "left"
         gen_index, targets = self.gen_index[n], self.gens[n - 1]
         row_of = {t: r for r, t in enumerate(tgt)}
@@ -107,7 +107,9 @@ class BarResolution:
         for col, t in enumerate(src):
             x, gen = (t[0], t[1:]) if left else (t[-1], t[:-1])
             for sign, pair, ti in terms[gen_index[gen]]:
-                if pair is not None and not (between(x, *pair) if left else between(*pair, x)):
+                if pair is not None and not (
+                    pair[0] in middles[x][pair[1]] if left else pair[1] in middles[pair[0]][x]
+                ):
                     continue
                 face = (x,) + targets[ti] if left else targets[ti] + (x,)
                 mat.entries[row_of[face], col] = sign
@@ -160,7 +162,7 @@ class BarResolution:
         if n in self._gen_terms:
             return self._gen_terms[n]
         left = self.side == "left"
-        scaled = self.space.scaled
+        middles = self.space.middles
         tgt = self.gen_index[n - 1]
         out = []
         for a in self.gens[n]:
@@ -175,10 +177,7 @@ class BarResolution:
                     if (j - i) % 2:
                         terms.append((-1 if i % 2 else 1, None, tgt[a[:i] + a[i + 1 :]]))
                 elif 0 < i < n:
-                    # a generator's steps are finite: betweenness needs only a[i-1] -> a[i+1]
-                    w, y = a[i - 1], a[j]
-                    wy = scaled[w][y]
-                    if wy is not None and scaled[w][x] + scaled[x][y] == wy:
+                    if x in middles[a[i - 1]][a[j]]:
                         terms.append((-1 if i % 2 else 1, None, tgt[a[:i] + a[j:]]))
                 # face 0 of a left generator frees (x_0, x_1), face n of a right one (x_n-1, x_n)
                 elif left and i == 0:

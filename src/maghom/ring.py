@@ -323,10 +323,10 @@ def ring_table(space, n_max: int, l_max, fld) -> RingTable:
 
     Each grade's cochain complex is built once and shared by its degrees.
     cup(psi, phi) joins a front ending where a back starts, so a pair is
-    cupped only when some last point of psi is a first point of phi; every
-    other pair, and every product that is zero, has the empty result.  The
-    nonzero products of all blocks that share a target bidegree are expanded
-    in its representative basis, modulo coboundaries, against one span.
+    cupped only when some last point of psi is a first point of phi, and
+    every other pair has the empty result.  The products of all blocks that
+    share a target bidegree are expanded in its representative basis, modulo
+    coboundaries, against one span.
     """
     from .space import attainable_grades
 
@@ -353,10 +353,11 @@ def ring_table(space, n_max: int, l_max, fld) -> RingTable:
                 for j, (firsts, _) in enumerate(ends[n, l]):
                     if not lasts.isdisjoint(firsts):
                         prod = cup(left_cs.representatives[i], right_cs.representatives[j])
-                        if prod.coeffs:
-                            found.setdefault((m + n, s + l), []).append((len(products), prod))
+                        found.setdefault((m + n, s + l), []).append((len(products), prod))
                     products.append({"lhs": (m, s, i), "rhs": (n, l, j), "result": []})
-    # a nonzero product's support walks at its grade, so the grade is attainable
+    # a cupped pair has a last point of psi equal to a first point of phi, so
+    # its product is never zero (its tuples are distinct and normalized); a
+    # nonzero product's support walks at its grade, so built[key] exists
     for key, pending in found.items():
         coords = _class_coordinates(built[key], [c for _, c in pending], fld)
         for (k, _), result in zip(pending, coords):

@@ -8,7 +8,10 @@ Every finite distance of a space lies on the lattice (1/D)Z, D the common
 denominator of its distances, and so does every grade built from them.
 Inside, a space keeps its distances as integers in units of 1/D
 (``scaled``, ``None`` where unreachable) and the enumerations below work on
-those; a ``Fraction`` is made only where a grade is handed back.
+those; a ``Fraction`` is made only where a grade is handed back.  The
+betweenness rule is decided here alone, once per space, in the table
+``middles`` that every face rule, the algebra product and the module axioms
+read.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class QuasimetricSpace:
     immutable after construction and safe to share.
     """
 
-    __slots__ = ("points", "dist", "denom", "scaled", "_index", "_walk_steps")
+    __slots__ = ("points", "dist", "denom", "scaled", "_index", "_walk_steps", "_middles")
 
     def __init__(self, points, dist):
         self.points = tuple(points)
@@ -118,6 +121,7 @@ class QuasimetricSpace:
             for row in self.dist
         )
         self._walk_steps = {}
+        self._middles = None
 
     def __len__(self):
         return len(self.points)
@@ -181,14 +185,31 @@ class QuasimetricSpace:
             self._walk_steps[distinct] = steps, least
         return self._walk_steps[distinct]
 
+    @property
+    def middles(self):
+        """middles[a][c]: the frozenset of points b between a and c, that is
+        with all three distances finite and d(a,b) + d(b,c) = d(a,c); it
+        holds a and c themselves whenever d(a,c) is finite.  Built once, on
+        first read, by walking every two finite steps a -> b -> c."""
+        if self._middles is None:
+            steps = self.steps(distinct=False)
+            empty = frozenset()
+            table = []
+            for a, row in enumerate(self.scaled):
+                found = {}
+                for b, ab in steps[a]:
+                    for c, bc in steps[b]:
+                        if ab + bc == row[c]:  # never equal to None
+                            found.setdefault(c, []).append(b)
+                line = [empty] * len(row)
+                for c, middle in found.items():
+                    line[c] = frozenset(middle)
+                table.append(tuple(line))
+            self._middles = tuple(table)
+        return self._middles
+
     def between_idx(self, i: int, j: int, k: int) -> bool:
-        scaled = self.scaled
-        dij = scaled[i][j]
-        djk = scaled[j][k]
-        dik = scaled[i][k]
-        if dij is None or djk is None or dik is None:
-            return False
-        return dij + djk == dik
+        return j in self.middles[i][k]
 
     def finite_pairs(self):
         """All ordered pairs (i, j) with finite distance, including i == j."""

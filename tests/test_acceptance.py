@@ -8,7 +8,7 @@ import itertools
 import time
 from fractions import Fraction
 
-from maghom.algebra import build_distance_algebra, radical_power_is_zero
+from maghom.algebra import DistanceAlgebra, radical_power_is_zero
 from maghom.chain import (
     enumerate_tuples,
     magnitude_cochain_complex,
@@ -243,7 +243,7 @@ def test_criterion_8_bound_quiver_presentation():
 
 def test_criterion_9_nilpotency():
     for name, space in SUITE:
-        algebra = build_distance_algebra(space)
+        algebra = DistanceAlgebra(space)
         assert radical_power_is_zero(algebra, len(space)), name
     _report(9, "positive-degree ideal is nilpotent of order |X| on every suite space")
 

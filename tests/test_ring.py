@@ -425,23 +425,22 @@ def test_ring_table_matches_reference_products_and_skips_what_cannot_meet():
 
 
 def test_ring_table_sends_no_zero_product_to_a_solve(monkeypatch):
-    # a pair whose endpoints meet has a nonzero cup; a zero one still has the
-    # empty result and no solve
+    # a pair whose endpoints meet has a nonzero cup, so the table sends every
+    # cupped product to a solve unfiltered and none of them is zero
     import maghom.ring as ring
 
-    space = random_space(5, 2)
-    full = ring_table(space, 2, 2, QQ)
-    assert any(p["result"] for p in full.products)
+    solved = []
+    real = ring._class_coordinates
 
-    def zero(psi, phi):
-        return Cochain(space, psi.n + phi.n, psi.grade + phi.grade, QQ, {})
+    def spy(target, cochains, fld):
+        solved.extend(cochains)
+        return real(target, cochains, fld)
 
-    monkeypatch.setattr(ring, "cup", zero)
-    monkeypatch.setattr(ring, "_class_coordinates", None)
-    table = ring_table(space, 2, 2, QQ)
-    pairs = [(p["lhs"], p["rhs"]) for p in table.products]
-    assert pairs == [(p["lhs"], p["rhs"]) for p in full.products]
-    assert all(p["result"] == [] for p in table.products)
+    monkeypatch.setattr(ring, "_class_coordinates", spy)
+    for space in (random_space(5, 2), digraph_to_space(random_digraph(6, 1, 0.35))):
+        for fld in (QQ, PrimeField(2)):
+            ring_table(space, 2, 2, fld)
+    assert solved and all(c.coeffs for c in solved)
 
 
 def _dense_target(space, n, grade, fld):

@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maghom.algebra import DistanceAlgebra
 
 from maghom.errors import (
     NoFiniteDistance,
@@ -10,7 +15,7 @@ from maghom.errors import (
     UnknownPoint,
     ZeroOffDiagonal,
 )
-from maghom.gen import digraphs_up_to_iso, random_space
+from maghom.gen import digraphs_up_to_iso, random_digraph, random_space
 from maghom.instances import c3, directed_cycle, k2, x2, x2_digraph
 from maghom.space import (
     INF,
@@ -178,3 +183,34 @@ def test_attainable_grades_follow_walks():
     rng = random.Random(3)
     grid = attainable_grades(random_space(4, rng.randrange(100)), 2)
     assert grid[0] == 0 and all(g <= 2 for g in grid)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    digraph=st.booleans(),
+)
+def test_betweenness_table_matches_the_definition(n, seed, digraph):
+    # half-unit and infinite distances, or a digraph's unreachable pairs;
+    # every triple, b = a and b = c included, against the Fraction distances
+    if digraph:
+        space = digraph_to_space(random_digraph(n, seed, 0.35))
+    else:
+        space = random_space(n, seed, grid=(Fraction(1, 2), Fraction(1), Fraction(3, 2), INF, INF))
+    alg = DistanceAlgebra(space)
+    pts = space.points
+    for a, c in product(range(n), repeat=2):
+        expected = set()
+        for b in range(n):
+            ab, bc, ac = space.d(a, b), space.d(b, c), space.d(a, c)
+            is_between = INF not in (ab, bc, ac) and ab + bc == ac
+            if is_between:
+                expected.add(b)
+            assert space.between_idx(a, b, c) == is_between
+            assert between(space, pts[a], pts[b], pts[c]) == is_between
+            if ab is not INF and bc is not INF:
+                assert alg.mul_pairs((a, b), (b, c)) == ((a, c) if is_between else None)
+        assert space.middles[a][c] == expected
+        if space.d(a, c) is not INF:
+            assert {a, c} <= expected
