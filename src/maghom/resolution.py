@@ -19,10 +19,14 @@ giving a computation of Tor and Ext independent of the chain-complex route.
 Both are one module complex: the Hom coboundaries are read as the transposed
 maps that the same builder assembles on the right resolution.  The tuples
 are unnormalized, but a run of equal points cancels to at most one term, so
-the builder writes each entry once, reading only stored actions.
+the builder writes each entry once, reading only stored actions and the int
+term lists of its bases' generators.  A resolution's cached module complex
+reads it through a weak proxy, so the resolution dies with its caller.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .chain import BasedComplex, _walks
 from .errors import InvalidInput, ResolutionTooShort, SpaceMismatch, UnvalidatedModule
@@ -34,8 +38,8 @@ class BarResolution:
     """Grade- and degree-truncated free resolution of the grade-0 quotient."""
 
     def __init__(self, space: QuasimetricSpace, side: str, n_max: int, l_max):
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
+        if side not in ("left", "right") or n_max < 0:
+            raise ValueError(f"side must be 'left' or 'right' and n_max >= 0: {side!r}, {n_max}")
         self.space = space
         self.side = side
         self.n_max = n_max
@@ -54,10 +58,8 @@ class BarResolution:
         self._top = None
         self.gen_index = [{t: i for i, t in enumerate(ts)} for ts in self.gens]
         self._complexes = {}
-        self._gen_terms = {}
-        # (module, grade, complex): the module complex that the last Tor or
-        # Ext query built, which every degree of that grade reads
-        self._module_complex = None
+        self._gen_terms = [[None] * len(ts) for ts in self.gens]
+        self._module_complex = None  # (module, grade, complex) of the last query
 
     def _length(self, k: int):
         """The (k+1)-tuples of grade <= l_max in lexicographic order, and
@@ -106,13 +108,12 @@ class BarResolution:
         mat = SparseMatrix(len(tgt), len(src))
         for col, t in enumerate(src):
             x, gen = (t[0], t[1:]) if left else (t[-1], t[:-1])
-            for sign, pair, ti in terms[gen_index[gen]]:
-                if pair is not None and not (
-                    pair[0] in middles[x][pair[1]] if left else pair[1] in middles[pair[0]][x]
-                ):
+            between = t[1] in middles[t[0]][t[2]] if left else t[-2] in middles[t[-3]][t[-1]]
+            for c in terms[gen_index[gen]]:
+                if c & 1 and not between:
                     continue
-                face = (x,) + targets[ti] if left else targets[ti] + (x,)
-                mat.entries[row_of[face], col] = sign
+                face = (x,) + targets[c >> 2] if left else targets[c >> 2] + (x,)
+                mat.entries[row_of[face], col] = -1 if c & 2 else 1
         return mat
 
     def _basis_groups(self, n: int):
@@ -148,24 +149,26 @@ class BarResolution:
 
     # -- free-generator differential ---------------------------------------
 
-    def gen_boundary_terms(self, n: int):
-        """Differential on free generators, one list of terms per generator.
-
-        Each term is (sign, pair, target_gen_index): pair is None for a
-        coefficient-1 term, or the two-point algebra pair picked up by the
-        deletion next to the kept end.  Deleting any point of a run of equal
-        points is a term (a pair (x, x) is the identity) onto one face, with
-        alternating signs: an even run cancels, an odd one keeps its first
-        point.  Deletions outside a common run give distinct faces.
+    def gen_boundary_terms(self, n: int, which=None):
+        """Differential on free generators, one term list per generator, built
+        and kept for the indices in `which` (all when None; None marks a list
+        not built yet).  A term is the int target_gen_index << 2 | odd << 1 |
+        frees: odd gives the sign -1, frees the algebra pair freed next to
+        the kept end (the first two points of a left generator, the last two
+        of a right one).  Deleting any point of a run of equal points is a
+        term (a pair (x, x) is the identity) onto one face, with alternating
+        signs: an even run cancels, an odd one keeps its first point.
+        Deletions outside a common run give distinct faces.
         """
         self._check_degree(n, 1)
-        if n in self._gen_terms:
-            return self._gen_terms[n]
+        gens, out = self.gens[n], self._gen_terms[n]
         left = self.side == "left"
         middles = self.space.middles
         tgt = self.gen_index[n - 1]
-        out = []
-        for a in self.gens[n]:
+        for g in range(len(gens)) if which is None else which:
+            if out[g] is not None:
+                continue
+            a = gens[g]
             terms = []
             i = 0
             while i <= n:
@@ -175,18 +178,17 @@ class BarResolution:
                     j += 1
                 if j - i > 1:
                     if (j - i) % 2:
-                        terms.append((-1 if i % 2 else 1, None, tgt[a[:i] + a[i + 1 :]]))
+                        terms.append(tgt[a[:i] + a[i + 1 :]] << 2 | (i & 1) << 1)
                 elif 0 < i < n:
                     if x in middles[a[i - 1]][a[j]]:
-                        terms.append((-1 if i % 2 else 1, None, tgt[a[:i] + a[j:]]))
+                        terms.append(tgt[a[:i] + a[j:]] << 2 | (i & 1) << 1)
                 # face 0 of a left generator frees (x_0, x_1), face n of a right one (x_n-1, x_n)
                 elif left and i == 0:
-                    terms.append((1, (x, a[1]), tgt[a[1:]]))
+                    terms.append(tgt[a[1:]] << 2 | 1)
                 elif not left and i == n:
-                    terms.append((-1 if n % 2 else 1, (a[i - 1], x), tgt[a[:-1]]))
+                    terms.append(tgt[a[:-1]] << 2 | (n & 1) << 1 | 1)
                 i = j
-            out.append(terms)
-        self._gen_terms[n] = out
+            out[g] = terms
         return out
 
     def check_grade_fit(self, needed):
@@ -249,25 +251,27 @@ def _module_matrix(res, module, k, src, tgt):
     the target generator's component through the transposed action.
 
     Each entry is written once, in term order: a generator's terms have
-    distinct targets, which own disjoint rows.  A pair with no stored
-    action is zero and builds no matrix; a stored action's column j is
-    read once per (pair, grade, j)."""
+    distinct targets, which own disjoint rows.  Only the source generators'
+    term lists are built.  A pair with no stored action is zero and builds
+    no matrix; a stored action's column j is read once per (pair, grade, j)."""
     left = res.side == "left"
     first = {ti: (row, h) for row, (ti, h, j) in enumerate(tgt) if j == 0}
-    terms = res.gen_boundary_terms(k)
+    terms = res.gen_boundary_terms(k, {gi for gi, _, _ in src})
+    gens = res.gens[k]
     stored = module.actions
     columns = {}
     mat = SparseMatrix(len(tgt), len(src))
     entries = mat.entries
     for col, (gi, h, j) in enumerate(src):
-        for sign, pair, ti in terms[gi]:
-            target = first.get(ti)
+        for c in terms[gi]:
+            target = first.get(c >> 2)
             if target is None:
                 continue
             row, th = target
-            if pair is None:
-                entries[row + j, col] = sign
+            if not c & 1:
+                entries[row + j, col] = -1 if c & 2 else 1
                 continue
+            pair = gens[gi][:2] if left else gens[gi][-2:]
             per_grade = stored.get(pair)
             if per_grade is None:
                 continue
@@ -280,18 +284,19 @@ def _module_matrix(res, module, k, src, tgt):
                 coeffs = [r[j] for r in action] if left else action[j]
                 column = columns[pair, at, j] = [(i, v) for i, v in enumerate(coeffs) if v]
             for i, v in column:
-                entries[row + i, col] = sign * v
+                entries[row + i, col] = -v if c & 2 else v
     return mat
 
 
 def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
     """The module complex at one grade over the given resolution, or a
     default one on `side`, checked to lie over the space and to reach
-    homological degree n.
+    homological degree n; every check runs before a resolution is built.
 
-    The resolution keeps the last complex it built, for that module object
-    and grade, so the degrees of one grade share its maps and their
-    eliminations; the checks run on every call."""
+    A given resolution keeps the last complex it built, for that module
+    object and grade, read through a weak proxy, so the degrees of one grade
+    share its maps and their eliminations; a default one is read strongly
+    and keeps none.  The checks run on every call."""
     if module.space is not space and module.space != space:
         raise UnvalidatedModule("module lives over a different space")
     if not module.validated:
@@ -300,29 +305,33 @@ def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
     sign = -1 if side == "left" else 1
     needed = grade + max((sign * h for h in module.grades()), default=0)
     if resolution is None:
+        if n < 0:
+            raise ResolutionTooShort(f"homological degree {n} is negative")
         # no tuple has an infinite grade: any truncation reads that complex as zero
-        resolution = bar_resolution(space, side, n + 1, 0 if needed is INF else max(needed, 0))
-    elif resolution.space is not space and resolution.space != space:
-        raise SpaceMismatch("resolution lives over a different space")
+        res = bar_resolution(space, side, n + 1, 0 if needed is INF else max(needed, 0))
     else:
+        if resolution.space is not space and resolution.space != space:
+            raise SpaceMismatch("resolution lives over a different space")
         resolution.check_grade_fit(needed)
-    if resolution.side != side:
-        functor = "Tor" if side == "left" else "Ext"
-        raise ResolutionTooShort(f"{functor} needs a {side} resolution")
-    if not 0 <= n < resolution.n_max:
-        raise ResolutionTooShort(
-            f"homological degree {n} outside 0..{resolution.n_max - 1} of the resolution"
-        )
-    cached = resolution._module_complex
-    if cached is not None and cached[0] is module and cached[1] == grade:
-        return cached[2]
+        if resolution.side != side:
+            functor = "Tor" if side == "left" else "Ext"
+            raise ResolutionTooShort(f"{functor} needs a {side} resolution")
+        if not 0 <= n < resolution.n_max:
+            raise ResolutionTooShort(
+                f"homological degree {n} outside 0..{resolution.n_max - 1} of the resolution"
+            )
+        cached = resolution._module_complex
+        if cached is not None and cached[0] is module and cached[1] == grade:
+            return cached[2]
+        res = weakref.proxy(resolution)
     cx = BasedComplex(
-        resolution.n_max - 1,
-        lambda k: _components(resolution, module, k, grade),
-        lambda k, src, tgt: _module_matrix(resolution, module, k, src, tgt),
+        res.n_max - 1,
+        lambda k: _components(res, module, k, grade),
+        lambda k, src, tgt: _module_matrix(res, module, k, src, tgt),
         grade=grade,
     )
-    resolution._module_complex = (module, grade, cx)
+    if resolution is not None:
+        resolution._module_complex = (module, grade, cx)
     return cx
 
 

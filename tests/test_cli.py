@@ -675,3 +675,50 @@ def test_one_parser_serves_failing_and_good_calls(capsys, k2_file):
     assert together == fresh
     assert [code for code, _ in together] == [1, 1, 0, 1, 0]
     assert build_parser() is build_parser()
+
+
+def test_commands_leave_no_cyclic_garbage(capsys, c3_file):
+    # with the collector off, only reference counting frees: a resolution or
+    # complex left behind by a command or a query sits in a reference cycle
+    import gc
+
+    from maghom.chain import BasedComplex
+    from maghom.distmod import trivial_module
+    from maghom.resolution import BarResolution, bar_resolution, ext_bidegree, tor_bidegree
+
+    module = {
+        "space": "c3.json",
+        "components": {"a": [["0", 1]], "b": [["1", 1]], "c": [["2", 1]]},
+        "actions": {"a->b": {"0": [[1]]}, "b->c": {"1": [[1]]}, "a->c": {"0": [[1]]}},
+    }
+    mod_file = Path(c3_file).parent / "mod.json"
+    mod_file.write_text(json.dumps(module))
+    bounds = ("--nmax", "2", "--lmax", "3")
+    calls = [
+        ("tor", c3_file, *bounds),
+        ("tor", str(mod_file), *bounds),
+        ("ext", str(mod_file), *bounds, "--field", "Fp:2"),
+        ("crosscheck", str(mod_file), *bounds),
+        ("mh", c3_file, "--coefficients", str(mod_file), *bounds),
+        ("ring", c3_file, *bounds, "--field", "Q"),
+    ]
+    kinds = (BarResolution, BasedComplex)
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, kinds)]
+    gc.disable()
+    try:
+        assert [run(capsys, *argv)[0] for argv in calls] == [0] * len(calls)
+        _, space, _ = mio.load_input(c3_file)
+        trivial = trivial_module(space, 0, 1)
+        for g in range(3):
+            assert not tor_bidegree(space, trivial, 1, g).torsion
+            assert ext_bidegree(space, trivial, 1, g, QQ) >= 0
+            res = bar_resolution(space, "left", 3, 3)
+            assert not tor_bidegree(space, trivial, 1, g, resolution=res).torsion
+            res = bar_resolution(space, "right", 3, 3)
+            assert ext_bidegree(space, trivial, 1, g, QQ, resolution=res) >= 0
+        del res
+        kept = [o for o in gc.get_objects() if isinstance(o, kinds)]
+        assert [o for o in kept if not any(o is b for b in before)] == []
+    finally:
+        gc.enable()

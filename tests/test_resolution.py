@@ -161,6 +161,24 @@ def test_degrees_outside_the_resolution_are_rejected():
         tor_bidegree(space, module, -1, 0)
 
 
+def test_bad_degrees_are_refused_before_any_walk(monkeypatch):
+    import maghom.resolution as resolution
+
+    def no_walks(*args):
+        raise AssertionError("walked a resolution")
+
+    space = c3()
+    module = trivial_module(space, 0, 1)
+    monkeypatch.setattr(resolution, "_walks", no_walks)
+    for side in ("left", "right"):
+        with pytest.raises(ValueError, match="n_max"):
+            bar_resolution(space, side, -1, 1)
+    with pytest.raises(ResolutionTooShort, match="negative"):
+        tor_bidegree(space, module, -1, 0)
+    with pytest.raises(ResolutionTooShort, match="negative"):
+        ext_bidegree(space, module, -2, 1, QQ)
+
+
 def test_each_arity_is_enumerated_once(monkeypatch):
     import maghom.resolution as resolution
 
@@ -233,6 +251,14 @@ def _runs(a):
     return out
 
 
+def _decoded(res, a, code):
+    """(sign, pair, target) of one int term of generator a: the pair, None
+    for a coefficient-1 term, is a's first two points on the left and its
+    last two on the right."""
+    pair = (a[:2] if res.side == "left" else a[-2:]) if code & 1 else None
+    return -1 if code & 2 else 1, pair, code >> 2
+
+
 def _check_gen_terms(res):
     """gen_boundary_terms equals the definition's oracle at every degree,
     as target -> {pair: sign} maps, and no term list repeats a target or
@@ -241,7 +267,8 @@ def _check_gen_terms(res):
     met = set()
     for n in range(1, res.n_max + 1):
         want = reference_gen_boundary_terms(res, n)
-        for a, terms, ref in zip(res.gens[n], res.gen_boundary_terms(n), want):
+        for a, codes, ref in zip(res.gens[n], res.gen_boundary_terms(n), want):
+            terms = [_decoded(res, a, c) for c in codes]
             got = {ti: {pair: sign} for sign, pair, ti in terms}
             assert len(got) == len(terms), (res.side, a)
             assert all(pair is None or pair[0] != pair[1] for _, pair, _ in terms), (res.side, a)
@@ -282,6 +309,42 @@ def test_gen_boundary_terms_meet_every_run_place():
     for side in ("left", "right"):
         met |= _check_gen_terms(bar_resolution(random_space(4, 37), side, 5, 1))
     assert met >= {(place, length) for place in ("start", "end", "inside") for length in range(1, 5)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(res=small_resolutions(), rnd=st.randoms(use_true_random=False))
+def test_term_lists_built_in_parts_equal_one_build(res, rnd):
+    # the same resolution again, built in one call per degree
+    whole = bar_resolution(res.space, res.side, res.n_max, res.l_max)
+    for n in range(1, res.n_max + 1):
+        count = len(res.gens[n])
+        part = rnd.sample(range(count), rnd.randint(0, count))
+        built = res.gen_boundary_terms(n, part)
+        assert [k for k in range(count) if built[k] is not None] == sorted(part)
+        rest = [k for k in range(count) if built[k] is None]
+        assert res.gen_boundary_terms(n, rest) == whole.gen_boundary_terms(n)
+        assert None not in built
+    _check_gen_terms(res)
+
+
+def test_module_scan_builds_only_the_term_lists_it_reads():
+    # the benchmark's crosscheck job on mod6: tor over n <= 4 and every
+    # grade up to 5 that the module's components shift the tuple grades to
+    from maghom.cli import JobSpec, _resolved
+
+    space = digraph_to_space(random_digraph(6, 9, 0.4))
+    job = JobSpec(4, Fraction(5), None, "json")
+    module, res, grades = _resolved(space, random_module(space, 9), job, "left")
+    read = {k: set() for k in range(1, res.n_max + 1)}
+    for g in grades:
+        for n in range(res.n_max):
+            tor_bidegree(space, module, n, g, resolution=res)
+        for k in read:
+            read[k] |= {gi for gi, _, _ in _components(res, module, k, g)}
+    for k in read:
+        assert {i for i, t in enumerate(res.gen_boundary_terms(k, ())) if t is not None} == read[k]
+    assert sum(map(len, read.values())) == 5796
+    assert sum(len(res.gens[k]) for k in read) == 13547
 
 
 def test_one_arc_generators_keep_few_terms():
