@@ -32,7 +32,8 @@ u = unit_cochain(space, QQ)
 print("unit absorbs:", cup(u, dx).coeffs == dx.coeffs == cup(dx, u).coeffs)
 
 # The same product through the resolution: lift one factor degree by degree,
-# then apply the other factor's augmentation.  The lift is a chain map.
+# one image per free generator, then read the other factor on the image
+# generators.  The lift is a chain map.
 res = bar_resolution(space, "left", 4, 4)
 lifts = {k: yoneda_lift(res, dy, k) for k in range(0, 3)}
 for k in (1, 2):

@@ -57,7 +57,6 @@ class BarResolution:
         self._groups = [groups for _, groups in lengths]
         self._top = None
         self.gen_index = [{t: i for i, t in enumerate(ts)} for ts in self.gens]
-        self._complexes = {}
         self._gen_terms = [[None] * len(ts) for ts in self.gens]
         self._module_complex = None  # (module, grade, complex) of the last query
 
@@ -130,22 +129,21 @@ class BarResolution:
         return list(self._basis_groups(n).get(units, ()))
 
     def complex_at(self, grade) -> BasedComplex:
-        """The resolution's tuple complex at one grade, built lazily per degree.
+        """The resolution's tuple complex at one grade, a fresh one per call,
+        built lazily per degree; the resolution keeps no reference to it.
 
         Degree n holds the degree-n basis tuples of that grade in tuple
         order, n = 0..n_max; deletions keep the grade, so d_n is the tuple
         differential between consecutive degrees' lists.
         """
         grade = parse_dist(grade)
-        if grade not in self._complexes:
-            units = self.space.to_units(grade)
-            self._complexes[grade] = BasedComplex(
-                self.n_max - 1,
-                lambda n: [self.basis[n][i] for i in self._basis_groups(n).get(units, ())],
-                self._tuple_boundary,
-                grade=grade,
-            )
-        return self._complexes[grade]
+        units = self.space.to_units(grade)
+        return BasedComplex(
+            self.n_max - 1,
+            lambda n: [self.basis[n][i] for i in self._basis_groups(n).get(units, ())],
+            self._tuple_boundary,
+            grade=grade,
+        )
 
     # -- free-generator differential ---------------------------------------
 

@@ -3,9 +3,10 @@
 The cup product splits a tuple at the arity of the front factor:
 (psi . phi)(x_0..x_{n+m}) = psi(x_0..x_m) . phi(x_m..x_{n+m}), nonzero only
 when both segments carry the factors' grades.  The same product is computed
-a second way through the left bar resolution: a cocycle lifts to chain maps
-between resolution degrees, and composing a lift with the other cocycle's
-augmentation reproduces the cup product coefficient for coefficient.
+a second way through the left bar resolution: a cocycle lifts to A-linear
+chain maps between resolution degrees, each kept as one image per free
+generator, and composing a lift with the other cocycle, read on the
+generators, reproduces the cup product coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import enumerate_tuples, magnitude_cochain_complex, tuple_grade
+from .chain import magnitude_cochain_complex, tuple_grade
 from .errors import NotACocycle, ResolutionTooShort, SpaceMismatch
 from .linalg import (
     FieldColumnSpan,
-    PrimeField,
-    SparseMatrix,
     check_field,
     kernel_basis_over_field,
     solve_in_span,
@@ -176,71 +175,73 @@ def unit_cochain(space, fld) -> Cochain:
 
 @dataclass
 class YonedaLift:
-    """Chain-level lift of a cocycle: matrices P_{n+k} -> P_k per grade."""
+    """Chain-level lift of a cocycle, P_{n+k} -> P_k, on free generators."""
 
     phi: Cochain
     k: int
     resolution: BarResolution
-    matrices: dict  # source grade -> SparseMatrix
+    images: dict  # degree-(n+k) generator index -> (degree-k generator index, coefficient)
 
 
 def yoneda_lift(resolution: BarResolution, phi: Cochain, k: int) -> YonedaLift:
     """Lift phi (degree n, grade l) to a map from resolution degree n+k to k.
 
-    A basis tuple splits as front = first k+2 entries, back = last n+1;
-    the image is phi(back) times the front tuple, a degree-k basis tuple
-    whose grade is the source grade minus l.  A front tuple falling outside
-    the truncation with nonzero coefficient is an error, never silently
-    dropped.
+    The lift is A-linear, so its images of the free generators fix it:
+    generator a goes to phi(a[k:]) times generator a[:k+1], a prefix and
+    so always inside the truncation.  On a basis tuple t this is phi(t[k+1:])
+    times t[:k+2].  Generators where phi vanishes have no image.
     """
+    if k < 0:
+        raise ResolutionTooShort(f"lift degree {k} is negative")
     if resolution.side != "left":
         raise ResolutionTooShort("lifts are built over the left resolution")
-    n, l = phi.n, phi.grade
+    n = phi.n
     if n + k > resolution.n_max:
         raise ResolutionTooShort(
             f"lift needs resolution degree {n + k} > n_max {resolution.n_max}"
         )
-    matrices = {}
-    fld = phi.fld
-    for g in resolution.degree_grades(n + k):
-        src = resolution.complex_at(g).basis(n + k)
-        tgt = resolution.complex_at(g - l).basis(k)
-        tgt_pos = {t: r for r, t in enumerate(tgt)}
-        mat = SparseMatrix(len(tgt), len(src))
-        for col, t in enumerate(src):
-            back = t[k + 1 :]
-            val = phi.coeffs.get(back)
-            if val is None:
-                continue
-            front = t[: k + 2]
-            row = tgt_pos.get(front)
-            if row is None:
-                raise ResolutionTooShort(
-                    f"lift image {front} leaves the truncated basis at grade {g - l}"
-                )
-            mat.add_at(row, col, val)
-        matrices[g] = mat
-    return YonedaLift(phi=phi, k=k, resolution=resolution, matrices=matrices)
+    prefix = resolution.gen_index[k]
+    images = {}
+    for g, a in enumerate(resolution.gens[n + k]):
+        val = phi.coeffs.get(a[k:])
+        if val is not None:
+            images[g] = (prefix[a[: k + 1]], val)
+    return YonedaLift(phi=phi, k=k, resolution=resolution, images=images)
 
 
 def lift_square_commutes(lift_k: YonedaLift, lift_km1: YonedaLift) -> bool:
-    """Exact matrix check of d_k . lift_k == lift_{k-1} . d_{n+k} per grade."""
+    """Exact check of d_k . lift_k == lift_{k-1} . d_{n+k}, generator by generator.
+
+    Both sides are A-linear, so they agree when they agree on the degree-(n+k)
+    generators.  Every differential term keeps its generator's first point,
+    so each side's image is a {degree-(k-1) generator: coefficient} dict.
+    """
     res = lift_k.resolution
-    phi = lift_k.phi
-    n, l = phi.n, phi.grade
-    k = lift_k.k
+    phi, fld = lift_k.phi, lift_k.phi.fld
+    n, k = phi.n, lift_k.k
     if lift_km1.k != k - 1 or lift_km1.resolution is not res:
         raise ValueError("lift_km1 must be the lift one degree lower, on the same resolution")
-    p = phi.fld.p if isinstance(phi.fld, PrimeField) else None
-    for g in res.degree_grades(n + k):
-        src, tgt = res.complex_at(g), res.complex_at(g - l)
-        # the lower lift has no matrix at a grade its source degree lacks
-        lower = lift_km1.matrices.get(g, SparseMatrix(tgt.dim(k - 1), src.dim(n + k - 1)))
-        left = tgt.boundary(k).matmul(lift_k.matrices[g])
-        right = lower.matmul(src.boundary(n + k))
-        if p is not None:
-            left, right = left.reduce_mod(p), right.reduce_mod(p)
-        if left.entries != right.entries:
+    if lift_km1.phi != phi:
+        raise ValueError("lift_k and lift_km1 lift different cocycles")
+    d_k, d_nk = res.gen_boundary_terms(k), res.gen_boundary_terms(n + k)
+
+    def add(image, target, c, val):
+        image[target] = image.get(target, 0) + (-val if c & 2 else val)
+
+    def reduced(image):
+        return {t: r for t, v in image.items() if (r := fld.of(v))}
+
+    for g in range(len(res.gens[n + k])):
+        left, right = {}, {}
+        if g in lift_k.images:
+            b, val = lift_k.images[g]
+            for c in d_k[b]:
+                add(left, c >> 2, c, val)
+        for c in d_nk[g]:
+            if c >> 2 in lift_km1.images:
+                b, val = lift_km1.images[c >> 2]
+                add(right, b, c, val)
+        if reduced(left) != reduced(right):
             return False
     return True
 
@@ -251,11 +252,12 @@ def _assert_cocycle(c: Cochain):
 
 
 def yoneda_product(psi: Cochain, phi: Cochain, resolution: BarResolution | None = None) -> Cochain:
-    """Composition product computed through resolution matrices.
+    """Composition product computed through the lift on free generators.
 
-    Lifts phi to degree n+m, applies psi's augmentation matrix, and reads
-    the resulting cochain off the doubled-head generators.  Agrees with
-    cup(psi, phi) coefficient for coefficient at chain level.
+    Lifts phi to degree n+m and composes it with psi, read as the map
+    P_m -> S that sends generator b to psi(b): generator w of degree n+m
+    gets psi(w[:m+1]) . phi(w[m:]).  Agrees with cup(psi, phi) coefficient
+    for coefficient at chain level.
     """
     if psi.space != phi.space:
         raise SpaceMismatch("product factors live over different spaces")
@@ -276,33 +278,10 @@ def yoneda_product(psi: Cochain, phi: Cochain, resolution: BarResolution | None 
     if n + m > resolution.n_max or total_grade > resolution.l_max:
         raise ResolutionTooShort("resolution truncation too small for this product")
     lift = yoneda_lift(resolution, phi, m)
-    lift_mat = lift.matrices.get(total_grade)
-    if lift_mat is None:
-        return Cochain(space, n + m, total_grade, fld, {})
-    # augmentation matrix of psi: rows are points, columns P_m at grade s
-    tgt = resolution.complex_at(s).basis(m)
-    aug = SparseMatrix(len(space), len(tgt))
-    for c, t in enumerate(tgt):
-        if t[0] != t[1]:
-            continue
-        val = psi.coeffs.get(t[1:])
-        if val is not None:
-            aug.add_at(t[0], c, val)
-    composite = aug.matmul(lift_mat)
-    if isinstance(fld, PrimeField):
-        composite = composite.reduce_mod(fld.p)
-    # read off values on doubled-head generators of normalized tuples
-    src = resolution.complex_at(total_grade).basis(n + m)
-    col_of = {t: c for c, t in enumerate(src)}
-    coeffs = {}
-    for w in enumerate_tuples(space, n + m, total_grade, normalized=True):
-        generator = (w[0],) + w
-        c = col_of.get(generator)
-        if c is None:
-            raise ResolutionTooShort(f"generator {generator} missing from truncated basis")
-        v = composite[(w[0], c)]
-        if v:
-            coeffs[w] = v
+    sources, targets = resolution.gens[n + m], resolution.gens[m]
+    # a nonzero value needs both segments normalized at their grades, so the
+    # support is normalized at the total grade; Cochain drops the zeros
+    coeffs = {sources[g]: c * psi.value(targets[b]) for g, (b, c) in lift.images.items()}
     return Cochain(space, n + m, total_grade, fld, coeffs)
 
 

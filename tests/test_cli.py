@@ -684,7 +684,14 @@ def test_commands_leave_no_cyclic_garbage(capsys, c3_file):
 
     from maghom.chain import BasedComplex
     from maghom.distmod import trivial_module
-    from maghom.resolution import BarResolution, bar_resolution, ext_bidegree, tor_bidegree
+    from maghom.resolution import (
+        BarResolution,
+        bar_resolution,
+        ext_bidegree,
+        resolution_homology,
+        tor_bidegree,
+    )
+    from maghom.ring import cohomology_classes, cup, yoneda_product
 
     module = {
         "space": "c3.json",
@@ -717,6 +724,11 @@ def test_commands_leave_no_cyclic_garbage(capsys, c3_file):
             assert not tor_bidegree(space, trivial, 1, g, resolution=res).torsion
             res = bar_resolution(space, "right", 3, 3)
             assert ext_bidegree(space, trivial, 1, g, QQ, resolution=res) >= 0
+        # the exactness check and the Yoneda product on a given resolution
+        res = bar_resolution(space, "left", 3, 3)
+        assert resolution_homology(res, 1, 2).betti == 0
+        psi, phi = cohomology_classes(space, 1, 1, QQ).representatives[:2]
+        assert yoneda_product(psi, phi, res).coeffs == cup(psi, phi).coeffs
         del res
         kept = [o for o in gc.get_objects() if isinstance(o, kinds)]
         assert [o for o in kept if not any(o is b for b in before)] == []

@@ -411,8 +411,10 @@ def test_grade_blocks_cover_full_matrix():
                     assert block.entries == expected, (side, n, g)
                     total += block.nnz()
                 assert total == full.nnz()
-    # one complex per grade, whatever form the grade is given in
-    assert res.complex_at(1) is res.complex_at("1") is res.complex_at(Fraction(1))
+    # one grade, whatever form it is given in, has one basis
+    for n in range(3):
+        assert res.complex_at(1).basis(n) == res.complex_at("1").basis(n)
+        assert res.complex_at("1").basis(n) == res.complex_at(Fraction(1)).basis(n)
 
 
 def test_free_decomposition_dimension_count():

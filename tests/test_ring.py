@@ -168,18 +168,17 @@ def test_yoneda_lift_k0_formula():
         if (0, 1) in r.coeffs
     ][:1]
     lift = yoneda_lift(res, phi, 0)
-    for g, mat in lift.matrices.items():
-        src = res.basis_at_grade(1, g)
-        tgt = res.basis_at_grade(0, g - 1)
-        for col, idx in enumerate(src):
-            t = res.basis[1][idx]
-            expected = phi.coeffs.get(t[1:], 0)
-            for row, tgt_idx in enumerate(tgt):
-                v = mat[(row, col)]
-                if res.basis[0][tgt_idx] == t[:2]:
-                    assert v == expected
-                else:
-                    assert v == 0
+    assert lift.images
+    # the image of a basis tuple t = (t_0, t_1) . generator t[1:] is read
+    # off its generator's image (t[1:] in degree 1, length 2 here)
+    for t in res.basis[1]:
+        image = lift.images.get(res.gen_index[1][t[1:]])
+        expected = phi.coeffs.get(t[1:])
+        if expected is None:
+            assert image is None
+            continue
+        b, v = image
+        assert ((t[0],) + res.gens[0][b], v) == (t[:2], expected)
 
 
 def test_yoneda_lift_zero_cochain():
@@ -187,17 +186,30 @@ def test_yoneda_lift_zero_cochain():
     res = bar_resolution(s, "left", 3, 3)
     zero = Cochain(s, 1, 1, QQ, {})
     lift = yoneda_lift(res, zero, 2)
-    assert all(m.is_zero() for m in lift.matrices.values())
+    assert lift.images == {}
 
 
 def test_lift_chain_map_identity():
-    for s in (k2(), c3()):
+    # the square check reduces both sides into the field
+    for fld, s in itertools.product((QQ, PrimeField(2), PrimeField(3)), (k2(), c3())):
         res = bar_resolution(s, "left", 4, 4)
         for n, g in [(1, 1), (1, 2), (2, 2)]:
-            for phi in cohomology_classes(s, n, g, QQ).representatives:
+            for phi in cohomology_classes(s, n, g, fld).representatives:
                 lifts = {k: yoneda_lift(res, phi, k) for k in range(0, 4 - n + 1)}
                 for k in range(1, 4 - n + 1):
-                    assert lift_square_commutes(lifts[k], lifts[k - 1])
+                    assert lift_square_commutes(lifts[k], lifts[k - 1]), (fld, n, g, k)
+    # a cocycle over Q whose two terms cancel in the coboundary: over F_2 and
+    # F_3 its -1 is stored as 1 and 2, so the integer coboundary is 2 or 3
+    # times a nonzero one, and the square holds only once reduced into the field
+    s = c3()
+    res = bar_resolution(s, "left", 4, 4)
+    for fld in (QQ, PrimeField(2), PrimeField(3)):
+        phi = Cochain(s, 3, 4, fld, {(0, 2, 0, 1): 1, (0, 1, 2, 1): -1})
+        assert coboundary_of(phi).is_zero()
+        assert lift_square_commutes(yoneda_lift(res, phi, 1), yoneda_lift(res, phi, 0)), fld
+        # one term alone is no cocycle, and its lift is no chain map
+        phi = Cochain(s, 3, 4, fld, {(0, 2, 0, 1): 1})
+        assert not lift_square_commutes(yoneda_lift(res, phi, 1), yoneda_lift(res, phi, 0))
 
 
 def test_lift_requires_long_enough_resolution():
@@ -206,6 +218,8 @@ def test_lift_requires_long_enough_resolution():
     phi = cohomology_classes(s, 1, 1, QQ).representatives[0]
     with pytest.raises(ResolutionTooShort):
         yoneda_lift(res, phi, 2)
+    with pytest.raises(ResolutionTooShort, match="negative"):
+        yoneda_lift(res, phi, -1)
 
 
 def test_lift_square_rejects_unmatched_lift_pairs():
@@ -218,6 +232,12 @@ def test_lift_square_rejects_unmatched_lift_pairs():
         lift_square_commutes(lift_1, lift_1)
     with pytest.raises(ValueError):
         lift_square_commutes(lift_1, yoneda_lift(bar_resolution(s, "left", 3, 3), phi, 0))
+    # lifts of two different cocycles are no square to check, not a failed one
+    res = bar_resolution(c3(), "left", 3, 3)
+    phi, chi = cohomology_classes(c3(), 1, 1, QQ).representatives[:2]
+    assert lift_square_commutes(yoneda_lift(res, chi, 1), yoneda_lift(res, chi, 0))
+    with pytest.raises(ValueError, match="different cocycles"):
+        lift_square_commutes(yoneda_lift(res, phi, 1), yoneda_lift(res, chi, 0))
 
 
 def test_negative_degree_has_no_classes():
