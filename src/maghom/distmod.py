@@ -26,16 +26,6 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _mat_mul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
-        for i in range(rows)
-    )
-
-
 def _finite_grade(g):
     g = parse_dist(g)
     if g is INF:
@@ -54,9 +44,31 @@ def _is_zero_mat(a):
     return all(v == 0 for row in a for v in row)
 
 
-def _nonzero_entries(a):
-    """Semantic view of a matrix: zero-padded shapes compare equal."""
-    return {(i, j): v for i, row in enumerate(a) for j, v in enumerate(row) if v}
+def times_entries(block, entries):
+    """Nonzero entries of a dense block times the matrix whose nonzero
+    entries are {(row, col): value}."""
+    out = {}
+    for (k, j), v in entries.items():
+        for i, row in enumerate(block):
+            if row[k]:
+                out[(i, j)] = out.get((i, j), 0) + row[k] * v
+    return {key: v for key, v in out.items() if v}
+
+
+def shape_mismatch(mat, rows, cols) -> str:
+    """'' when the matrix is rows x cols, else 'AxB, expected {rows}x{cols}'."""
+    widths = {len(row) for row in mat}
+    if len(mat) == rows and not widths - {cols}:
+        return ""
+    return f"{len(mat)}x{'/'.join(map(str, sorted(widths))) or '0'}, expected {rows}x{cols}"
+
+
+def _place(matrix: SparseMatrix, block, r0, c0):
+    """Write a dense block's nonzero entries into the matrix at (r0, c0)."""
+    for r, row in enumerate(block, r0):
+        for c, v in enumerate(row, c0):
+            if v:
+                matrix.entries[(r, c)] = v
 
 
 class DistanceModule:
@@ -67,6 +79,9 @@ class DistanceModule:
     missing entry is the zero map.  Matrices are tuples of tuples of ints,
     shaped rank(j, g + d) x rank(i, g).  A rank or an entry that is not an
     integer, or a negative rank, raises InvalidInput naming its point or pair.
+    An all-zero matrix is dropped only where it is that zero map; one on a
+    pair (x, x), at infinite distance or of another shape is kept, so that
+    validate_module reports it as it would a nonzero one.
     """
 
     __slots__ = ("space", "components", "actions", "validated")
@@ -85,11 +100,18 @@ class DistanceModule:
         acts = {}
         for (i, j), per_grade in actions.items():
             where = f"action entry {space.points[i]!r}->{space.points[j]!r}"
+            d = space.d(i, j)
             kept = {}
             for g, mat in per_grade.items():
                 mat = tuple(tuple(_integer(v, where) for v in row) for row in mat)
-                if not _is_zero_mat(mat):
-                    kept[_finite_grade(g)] = mat
+                g = _finite_grade(g)
+                if (
+                    i == j
+                    or d is INF
+                    or not _is_zero_mat(mat)
+                    or shape_mismatch(mat, self.rank_at(j, g + d), self.rank_at(i, g))
+                ):
+                    kept[g] = mat
             if kept:
                 acts[(i, j)] = kept
         self.actions = acts
@@ -157,10 +179,11 @@ def validate_module(space: QuasimetricSpace, module: DistanceModule):
 
     The composition law is compared only where a side can be nonzero, so
     the skip is exact and keeps the violations in order: i == j or j == k
-    gives one map on both sides (action_matrix is the identity on (x, x));
-    M(i,k) at g needs betweenness and an action stored there (never for
-    i == k: distinct points are at positive distance); M(j,k) M(i,j) needs
-    actions stored at (i, j) at g and at (j, k) at g + d(i, j).
+    gives one map on both sides (M(x,x) is the identity); M(i,k) at g needs
+    betweenness and an action stored there (never for i == k: distinct
+    points are at positive distance); M(j,k) M(i,j) needs actions stored at
+    (i, j) at g and at (j, k) at g + d(i, j).  Each side is the product of
+    its stored maps with the identity of M(i)_g, as nonzero entries.
     """
     violations = []
     n = len(space)
@@ -190,16 +213,11 @@ def validate_module(space: QuasimetricSpace, module: DistanceModule):
             )
             continue
         for g, mat in per_grade.items():
-            src = module.rank_at(i, g)
-            dst = module.rank_at(j, g + d)
-            widths = {len(row) for row in mat}
-            if len(mat) != dst or widths - {src}:
-                cols = "/".join(map(str, sorted(widths))) or "0"
+            wrong = shape_mismatch(mat, module.rank_at(j, g + d), module.rank_at(i, g))
+            if wrong:
                 violations.append(
                     ModuleViolation(
-                        "ShapeMismatch",
-                        (space.points[i], space.points[j], g),
-                        f"matrix is {len(mat)}x{cols}, expected {dst}x{src}",
+                        "ShapeMismatch", (space.points[i], space.points[j], g), f"matrix is {wrong}"
                     )
                 )
     if violations:
@@ -213,24 +231,19 @@ def validate_module(space: QuasimetricSpace, module: DistanceModule):
                 continue
             ij = actions.get((i, j), {})
             for k in range(n):
-                djk = space.d(j, k)
-                if j == k or djk is INF:
+                if j == k or space.d(j, k) is INF:
                     continue
                 betw = j in middles[i][k]
                 jk = actions.get((j, k), {})
                 ik = actions.get((i, k), {}) if betw else {}
-                for g in module.components[i]:
-                    if g not in ik and not (g in ij and g + dij in jk):
+                for g, r in module.components[i].items():
+                    composable = g in ij and g + dij in jk
+                    if g not in ik and not composable:
                         continue
-                    left = _mat_mul(
-                        module.action_matrix(j, k, g + dij), module.action_matrix(i, j, g)
-                    )
-                    right = (
-                        module.action_matrix(i, k, g)
-                        if betw
-                        else _zeros(module.rank_at(k, g + dij + djk), module.rank_at(i, g))
-                    )
-                    if _nonzero_entries(left) != _nonzero_entries(right):
+                    unit = {(c, c): 1 for c in range(r)}
+                    left = times_entries(jk[g + dij], times_entries(ij[g], unit)) if composable else {}
+                    right = times_entries(ik[g], unit) if g in ik else {}
+                    if left != right:
                         violations.append(
                             ModuleViolation(
                                 "CompositionViolation",
@@ -303,32 +316,21 @@ def direct_sum(a: DistanceModule, b: DistanceModule) -> DistanceModule:
         grades = set(a.components[i]) | set(b.components[i])
         components[i] = {g: a.rank_at(i, g) + b.rank_at(i, g) for g in grades}
     actions = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j or space.d(i, j) is INF:
-                continue
-            d = space.d(i, j)
-            per_grade = {}
-            grades = set(a.components[i]) | set(b.components[i])
-            for g in grades:
-                ra, rb = a.rank_at(i, g), b.rank_at(i, g)
-                sa, sb = a.rank_at(j, g + d), b.rank_at(j, g + d)
-                if (ra + rb) == 0 or (sa + sb) == 0:
-                    continue
-                ma = a.action_matrix(i, j, g)
-                mb = b.action_matrix(i, j, g)
-                block = [[0] * (ra + rb) for _ in range(sa + sb)]
-                for r in range(sa):
-                    for c in range(ra):
-                        block[r][c] = ma[r][c]
-                for r in range(sb):
-                    for c in range(rb):
-                        block[sa + r][ra + c] = mb[r][c]
-                mat = tuple(tuple(row) for row in block)
-                if not _is_zero_mat(mat):
-                    per_grade[g] = mat
-            if per_grade:
-                actions[(i, j)] = per_grade
+    for i, j in a.actions.keys() | b.actions.keys():
+        d = space.d(i, j)
+        if i == j or d is INF:
+            continue
+        ma, mb = a.actions.get((i, j), {}), b.actions.get((i, j), {})
+        per_grade = {}
+        for g in ma.keys() | mb.keys():
+            ra, sa = a.rank_at(i, g), a.rank_at(j, g + d)
+            block = [[0] * (ra + b.rank_at(i, g)) for _ in range(sa + b.rank_at(j, g + d))]
+            for r, row in enumerate(ma.get(g, ())):
+                block[r][:ra] = row
+            for r, row in enumerate(mb.get(g, ()), sa):
+                block[r][ra:] = row
+            per_grade[g] = tuple(map(tuple, block))
+        actions[(i, j)] = per_grade
     out = DistanceModule(space, components, actions)
     out.validated = a.validated and b.validated
     return out
@@ -351,7 +353,8 @@ def invariants(module: DistanceModule):
 
     For each point x the block is the kernel of the stacked map
     M(x)_g -> sum over reachable y != x of M(y)_{g + d(x,y)}; bases are
-    integer vectors (the kernel lattice is torsion-free).
+    integer vectors (the kernel lattice is torsion-free).  Only the stored
+    maps are stacked, in the order of y: a missing one is zero.
     """
     _require_validated(module)
     space = module.space
@@ -360,27 +363,16 @@ def invariants(module: DistanceModule):
     for g in module.grades():
         rank = 0
         kernels = []
-        for x in range(n):
-            r = module.rank_at(x, g)
-            if r == 0:
+        for x, comp in enumerate(module.components):
+            if g not in comp:
                 continue
-            blocks = []
+            stacked = SparseMatrix(0, comp[g])
             for y in range(n):
-                if y == x or space.d(x, y) is INF:
-                    continue
-                mat = module.action_matrix(x, y, g)
-                if mat:
-                    blocks.append(SparseMatrix.from_dense([list(row) for row in mat], cols=r))
-            if blocks:
-                stacked = SparseMatrix(sum(b.rows for b in blocks), r)
-                r0 = 0
-                for b in blocks:
-                    for (rr, cc), v in b.entries.items():
-                        stacked.entries[(r0 + rr, cc)] = v
-                    r0 += b.rows
-                basis = integer_kernel_basis(stacked)
-            else:
-                basis = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+                block = module.actions.get((x, y), {}).get(g) if y != x else None
+                if block:
+                    _place(stacked, block, stacked.rows, 0)
+                    stacked.rows += len(block)
+            basis = integer_kernel_basis(stacked)
             if basis:
                 rank += len(basis)
                 kernels.append((space.points[x], tuple(tuple(v) for v in basis)))
@@ -396,43 +388,33 @@ class CoinvariantBlock:
     torsion: tuple
 
 
+def _offsets(module, grade):
+    """Each point's first index in the sum of the M(x)_grade, and the total rank."""
+    offsets, total = [], 0
+    for comp in module.components:
+        offsets.append(total)
+        total += comp.get(grade, 0)
+    return offsets, total
+
+
 def coinvariants(module: DistanceModule):
     """Per grade, the cokernel of everything arriving at each point.
 
     The block at grade g is the cokernel of the stacked map from all
     M(y)_{g - d(y,x)} into M(x)_g, summed over points x and summarized by
-    the Smith form (free rank plus invariant factors)."""
+    the Smith form (free rank plus invariant factors).  Each stored map
+    y -> x fills its own columns at x's rows; a missing one is zero."""
     _require_validated(module)
     space = module.space
-    n = len(space)
     out = []
     for g in module.grades():
-        total = 0
-        point_blocks = []
-        for x in range(n):
-            r = module.rank_at(x, g)
-            if r == 0:
-                continue
-            total += r
-            incoming = []
-            for y in range(n):
-                if y == x:
-                    continue
-                d = space.d(y, x)
-                if d is INF:
-                    continue
-                src = module.rank_at(y, g - d)
-                if src == 0:
-                    continue
-                mat = module.action_matrix(y, x, g - d)
-                incoming.append(SparseMatrix.from_dense([list(row) for row in mat], rows=r, cols=src))
-            if incoming:
-                point_blocks.append(SparseMatrix.hstack(incoming))
-            else:
-                point_blocks.append(SparseMatrix(r, 0))
-        if total == 0:
-            continue
-        big = SparseMatrix.block_diag(point_blocks)
+        offsets, total = _offsets(module, g)
+        big = SparseMatrix(total, 0)
+        for (y, x), per_grade in module.actions.items():
+            block = per_grade.get(g - space.d(y, x)) if y != x else None
+            if block:
+                _place(big, block, offsets[x], big.cols)
+                big.cols += len(block[0])
         factors = snf(big)
         betti = total - len(factors)
         torsion = tuple(d for d in factors if d > 1)
@@ -446,36 +428,17 @@ def hom_from_trivial(module: DistanceModule, grade) -> int:
 
     A morphism picks m_x in M(x)_grade for every point, subject to
     m_x . y = 0 for every reachable y != x; the rank is the dimension of the
-    solution space of that single stacked linear system.  Equals the
-    invariants rank at the grade.
+    solution space of that single stacked linear system, whose rows are the
+    stored maps out of each point at its columns.  Equals the invariants
+    rank at the grade.
     """
     _require_validated(module)
     grade = parse_dist(grade)
-    space = module.space
-    n = len(space)
-    offsets = []
-    total = 0
-    for x in range(n):
-        offsets.append(total)
-        total += module.rank_at(x, grade)
-    if total == 0:
-        return 0
-    rows = []
-    for x in range(n):
-        r = module.rank_at(x, grade)
-        if r == 0:
-            continue
-        for y in range(n):
-            if y == x or space.d(x, y) is INF:
-                continue
-            mat = module.action_matrix(x, y, grade)
-            for row in mat:
-                if any(row):
-                    full = [0] * total
-                    for c, v in enumerate(row):
-                        full[offsets[x] + c] = v
-                    rows.append(full)
-    if not rows:
-        return total
-    system = SparseMatrix.from_dense(rows, cols=total)
+    offsets, total = _offsets(module, grade)
+    system = SparseMatrix(0, total)
+    for (x, y), per_grade in module.actions.items():
+        block = per_grade.get(grade) if x != y else None
+        if block:
+            _place(system, block, system.rows, offsets[x])
+            system.rows += len(block)
     return total - rank_over_field(system, QQ)

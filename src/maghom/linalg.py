@@ -223,34 +223,6 @@ class SparseMatrix:
                 out.entries[k] = vv
         return out
 
-    @staticmethod
-    def block_diag(blocks):
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        out = SparseMatrix(rows, cols)
-        r0 = c0 = 0
-        for b in blocks:
-            for (r, c), v in b.entries.items():
-                out.entries[(r0 + r, c0 + c)] = v
-            r0 += b.rows
-            c0 += b.cols
-        return out
-
-    @staticmethod
-    def hstack(blocks):
-        if not blocks:
-            return SparseMatrix(0, 0)
-        rows = blocks[0].rows
-        if any(b.rows != rows for b in blocks):
-            raise ValueError(f"hstack blocks have {[b.rows for b in blocks]} rows, not all equal")
-        out = SparseMatrix(rows, sum(b.cols for b in blocks))
-        c0 = 0
-        for b in blocks:
-            for (r, c), v in b.entries.items():
-                out.entries[(r, c0 + c)] = v
-            c0 += b.cols
-        return out
-
 
 def _set(major, minor, i, j, v):
     """major[i][j] = v, mirrored as minor[j][i]; a zero is dropped from both."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, UnknownPoint
+from .distmod import shape_mismatch, times_entries
 from .linalg import QQ, SparseMatrix, rank_over_field
 from .space import INF, Digraph, QuasimetricSpace, digraph_to_space
 
@@ -196,35 +197,35 @@ def check_representation_relations(graph: Digraph, rep) -> list:
     rep is a distance module over the digraph's space restricted to arcs:
     vertices carry graded free pieces and each arc a degree-1 map.  Every R1
     pair must induce equal composites and every R2 path the zero composite,
-    grade by grade.
+    grade by grade.  A stored arc map of the wrong shape is reported on its
+    own, and then nothing is composed.
     """
     space = digraph_to_space(graph)
     if rep.space != space:
         raise UnknownPoint("representation lives over a different vertex set")
-    relations = quiver_relations(graph)
     violations = []
+    for u, v in sorted(graph.arcs):
+        ui, vi = space.idx(u), space.idx(v)
+        for g, mat in sorted(rep.actions.get((ui, vi), {}).items()):
+            wrong = shape_mismatch(mat, rep.rank_at(vi, g + 1), rep.rank_at(ui, g))
+            if wrong:
+                detail = f"arc map {u}->{v} at grade {g} is {wrong}"
+                violations.append(RelationViolation(relation=((u, v),), grade=g, detail=detail))
+    if violations:
+        return violations
+    relations = quiver_relations(graph)
 
     def composite(path, grade):
-        """Nonzero entries of the composite map along a path of arcs.
-
-        Shapes are tracked explicitly so rank-0 intermediate components
-        correctly force the zero map."""
-        src = rep.rank_at(space.idx(path[0]), grade)
-        cur = [[1 if i == j else 0 for j in range(src)] for i in range(src)]
-        rows = src
-        g = grade
+        """Nonzero entries of the composite map along a path of arcs; an arc
+        with no map stored at its grade makes it zero."""
+        cur = {(c, c): 1 for c in range(rep.rank_at(space.idx(path[0]), grade))}
         for u, v in zip(path, path[1:]):
-            ui, vi = space.idx(u), space.idx(v)
-            assert space.d(ui, vi) == 1  # every arc is a distance-1 step
-            step = rep.action_matrix(ui, vi, g)
-            dst = rep.rank_at(vi, g + 1)
-            cur = [
-                [sum(step[i][k] * cur[k][j] for k in range(rows)) for j in range(src)]
-                for i in range(dst)
-            ]
-            rows = dst
-            g = g + 1
-        return {(i, j): v for i, row in enumerate(cur) for j, v in enumerate(row) if v}
+            step = rep.actions.get((space.idx(u), space.idx(v)), {}).get(grade)
+            if step is None:
+                return {}
+            cur = times_entries(step, cur)
+            grade += 1
+        return cur
 
     for g in rep.grades():
         for a, b in relations.r1:

@@ -3,13 +3,14 @@
 Nothing here shares code with the package: shortest paths are recomputed by
 plain breadth-first search on adjacency lists, tuple enumeration walks every
 raw sequence, and the Smith form oracle is a dense textbook elimination.
-There are two exceptions.  The module-coefficient references build their
-matrices through `DistanceModule.action_matrix` and `SparseMatrix.add_at`,
-the definitions that the package's own builders bypass.  The reference
-Smith elimination at the end: its peel
-of the unit pivots is written apart, but its block search keeps the
-package's row and column operations (`_clear`), and it pins the order in
-which the package picks its pivots.  And the ring products reference,
+There are three exceptions.  The module-coefficient and distance-module
+references build their matrices through `DistanceModule.action_matrix` and
+`SparseMatrix.add_at`, the definitions that the package's own builders
+bypass; the invariants reference keeps the package's integer kernel basis.
+The reference Smith elimination at the end: its peel of the unit pivots is
+written apart, but its block search keeps the package's row and column
+operations (`_clear`), and it pins the order in which the package picks its
+pivots.  And the ring products reference,
 which pins the loop of the ring table and not its parts: it reuses the
 package's class sets, cup product and class coordinates.
 """
@@ -536,6 +537,181 @@ def reference_validate_module(space, module):
                                 "M(y,z) M(x,y) differs from the betweenness rule",
                             )
                         )
+    return violations
+
+
+# ---------------------------------------------------------------------------
+# dense distance-module references: every map is read through
+# module.action_matrix, so a pair that stores nothing gives its dense zero
+# block and a point its dense identity.  Ranks and Smith forms come from the
+# dense oracles above; the invariants' kernel bases come from the package's
+# integer_kernel_basis, which fixes which basis of the kernel is returned.
+
+
+def _dense_into(rows, cols):
+    """A sparse matrix of the dense rows, every entry through add_at."""
+    mat = SparseMatrix(len(rows), cols)
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            mat.add_at(r, c, v)
+    return mat
+
+
+def reference_invariants(module):
+    """Per grade and point x, the kernel of the maps to every reachable
+    y != x, zero blocks included, stacked in the order of y."""
+    from maghom.distmod import InvariantBlock
+    from maghom.linalg import integer_kernel_basis
+    from maghom.space import INF
+
+    space = module.space
+    n = len(space)
+    out = []
+    for g in module.grades():
+        kernels = []
+        for x in range(n):
+            r = module.rank_at(x, g)
+            if r == 0:
+                continue
+            rows = [
+                list(row)
+                for y in range(n)
+                if y != x and space.d(x, y) is not INF
+                for row in module.action_matrix(x, y, g)
+            ]
+            basis = integer_kernel_basis(_dense_into(rows, r))
+            if basis:
+                kernels.append((space.points[x], tuple(tuple(v) for v in basis)))
+        rank = sum(len(basis) for _, basis in kernels)
+        if rank:
+            out.append(InvariantBlock(grade=g, rank=rank, kernels=tuple(kernels)))
+    return out
+
+
+def reference_coinvariants(module):
+    """Per grade, the dense Smith form of the block-diagonal matrix whose
+    block at x holds every incoming map side by side, zero blocks included."""
+    from maghom.distmod import CoinvariantBlock
+    from maghom.space import INF
+
+    space = module.space
+    n = len(space)
+    out = []
+    for g in module.grades():
+        blocks = []
+        for x in range(n):
+            r = module.rank_at(x, g)
+            if r == 0:
+                continue
+            incoming = [
+                module.action_matrix(y, x, g - space.d(y, x))
+                for y in range(n)
+                if y != x
+                and space.d(y, x) is not INF
+                and module.rank_at(y, g - space.d(y, x))
+            ]
+            blocks.append([[v for mat in incoming for v in mat[i]] for i in range(r)])
+        width = sum(len(block[0]) for block in blocks)
+        dense, c0 = [], 0
+        for block in blocks:
+            dense += [[0] * c0 + row + [0] * (width - c0 - len(row)) for row in block]
+            c0 += len(block[0])
+        factors = dense_snf(dense)
+        betti = len(dense) - len(factors)
+        torsion = tuple(d for d in factors if d > 1)
+        if betti or torsion:
+            out.append(CoinvariantBlock(grade=g, betti=betti, torsion=torsion))
+    return out
+
+
+def reference_hom_from_trivial(module, grade):
+    """The total rank at the grade minus the dense rank over Q of one system:
+    a row per row of every map x -> y (reachable y != x), at x's columns."""
+    from maghom.space import INF, parse_dist
+
+    grade = parse_dist(grade)
+    space = module.space
+    n = len(space)
+    offsets, total = [], 0
+    for x in range(n):
+        offsets.append(total)
+        total += module.rank_at(x, grade)
+    rows = []
+    for x in range(n):
+        for y in range(n):
+            if y != x and space.d(x, y) is not INF and module.rank_at(x, grade):
+                for row in module.action_matrix(x, y, grade):
+                    full = [0] * total
+                    full[offsets[x] : offsets[x] + len(row)] = row
+                    rows.append(full)
+    return total - dense_rank_qq(rows)
+
+
+def reference_direct_sum(a, b):
+    """Pointwise sum; on every finite pair and every grade of M(i), the
+    block-diagonal matrix of the two action_matrix blocks, kept if nonzero."""
+    from maghom.distmod import DistanceModule
+    from maghom.space import INF
+
+    space = a.space
+    n = len(space)
+    components = {}
+    actions = {}
+    for i in range(n):
+        grades = set(a.components[i]) | set(b.components[i])
+        components[i] = {g: a.rank_at(i, g) + b.rank_at(i, g) for g in grades}
+        for j in range(n):
+            d = space.d(i, j)
+            if i == j or d is INF:
+                continue
+            for g in grades:
+                ra, rb = a.rank_at(i, g), b.rank_at(i, g)
+                sa, sb = a.rank_at(j, g + d), b.rank_at(j, g + d)
+                ma, mb = a.action_matrix(i, j, g), b.action_matrix(i, j, g)
+                block = [[0] * (ra + rb) for _ in range(sa + sb)]
+                for r in range(sa):
+                    for c in range(ra):
+                        block[r][c] = ma[r][c]
+                for r in range(sb):
+                    for c in range(rb):
+                        block[sa + r][ra + c] = mb[r][c]
+                if any(any(row) for row in block):
+                    actions.setdefault((i, j), {})[g] = tuple(tuple(row) for row in block)
+    out = DistanceModule(space, components, actions)
+    out.validated = a.validated and b.validated
+    return out
+
+
+def reference_representation_violations(graph, rep):
+    """check_representation_relations for well-shaped arc maps: each path's
+    composite is the dense product of its action_matrix steps, the shapes
+    tracked so that a rank-0 piece on the way gives the zero map."""
+    from maghom.quiver import RelationViolation, quiver_relations
+    from maghom.space import digraph_to_space
+
+    space = digraph_to_space(graph)
+    relations = quiver_relations(graph)
+
+    def composite(path, grade):
+        src = rep.rank_at(space.idx(path[0]), grade)
+        cur = [[int(i == j) for j in range(src)] for i in range(src)]
+        for u, v in zip(path, path[1:]):
+            step = rep.action_matrix(space.idx(u), space.idx(v), grade)
+            cur = [
+                [sum(step[i][k] * cur[k][j] for k in range(len(cur))) for j in range(src)]
+                for i in range(rep.rank_at(space.idx(v), grade + 1))
+            ]
+            grade += 1
+        return {(i, j): v for i, row in enumerate(cur) for j, v in enumerate(row) if v}
+
+    violations = []
+    for g in rep.grades():
+        for a, b in relations.r1:
+            if rep.rank_at(space.idx(a[0]), g) and composite(a, g) != composite(b, g):
+                violations.append(RelationViolation((a, b), g, "R1 composites differ"))
+        for p in relations.r2:
+            if rep.rank_at(space.idx(p[0]), g) and composite(p, g):
+                violations.append(RelationViolation((p,), g, "R2 composite is nonzero"))
     return violations
 
 

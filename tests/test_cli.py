@@ -12,6 +12,7 @@ import pytest
 import maghom
 from maghom import io as mio
 from maghom.cli import FORMATS, build_parser, emit, main, parse_field_flag
+from maghom.distmod import validate_module
 from maghom.errors import InvalidField, UnsupportedFormat
 from maghom.instances import directed_cycle, k2_digraph
 from maghom.linalg import QQ, PrimeField
@@ -160,6 +161,39 @@ def test_inv_coinv_on_module_file(capsys, tmp_path):
         {"grade": "0", "betti": 1, "torsion": ""},
         {"grade": "1", "betti": 0, "torsion": "2"},
     ]
+
+
+# a -> b at distance 1, b -> a at infinity, rank 1 at a in grade 0 and at b
+# in grade 1: each all-zero matrix sits where no zero map belongs, so it is
+# reported as its nonzero twin is
+ZERO_TWINS = [
+    ("a->b", "0", [[0, 0], [0]], [[1, 0], [0]], "ShapeMismatch"),
+    ("b->a", "1", [[0]], [[5]], "ShapeMismatch"),
+    ("a->a", "0", [[0]], [[2]], "IdentityViolation"),
+]
+
+
+@pytest.mark.parametrize("pair, grade, zero, nonzero, kind", ZERO_TWINS)
+def test_zero_matrices_are_validated_like_nonzero_ones(
+    capsys, tmp_path, pair, grade, zero, nonzero, kind
+):
+    for mat in (zero, nonzero):
+        data = {
+            "space": {"points": ["a", "b"], "dist": [["0", "1"], ["inf", "0"]]},
+            "components": {"a": [["0", 1]], "b": [["1", 1]]},
+            "actions": {pair: {grade: mat}},
+        }
+        space, module = mio.load_module(data)
+        assert [v.kind for v in validate_module(space, module)] == [kind]
+        p = tmp_path / "mod.json"
+        p.write_text(json.dumps(data))
+        code, out = run(capsys, "validate", str(p), "--format", "json")
+        assert code == 1 and json.loads(out)["rows"][0]["violation"] == kind
+        assert run(capsys, "coinv", str(p))[0] == 1
+    # the zero map where it belongs is no action at all
+    data["actions"] = {"a->b": {"0": [[0]]}}
+    space, module = mio.load_module(data)
+    assert module.actions == {} and validate_module(space, module) == []
 
 
 def test_module_file_with_space_reference(capsys, tmp_path):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maghom import distmod
 from maghom.distmod import (
@@ -16,11 +18,19 @@ from maghom.distmod import (
     validate_module,
 )
 from maghom.errors import InvalidInput, UnknownPoint, UnvalidatedModule
-from maghom.gen import random_digraph, random_module
-from maghom.instances import c3, k2, standard_suite, x2
+from maghom.gen import _scale_actions, random_digraph, random_module
+from maghom.instances import c3, k2, standard_suite, standard_suite_digraphs, x2
+from maghom.quiver import check_representation_relations
 from maghom.space import INF, digraph_to_space
 
-from oracles import reference_validate_module
+from oracles import (
+    reference_coinvariants,
+    reference_direct_sum,
+    reference_hom_from_trivial,
+    reference_invariants,
+    reference_representation_violations,
+    reference_validate_module,
+)
 
 
 def rep_x2():
@@ -305,16 +315,94 @@ def test_sparse_validator_matches_the_dense_triple_loop():
     assert broken >= 90 and ordered >= 25
 
 
+def test_times_entries_matches_the_dense_product():
+    rng = random.Random(4)
+    for _ in range(200):
+        m, k, n = (rng.randrange(4) for _ in range(3))
+        a = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(k)] for _ in range(m)]
+        b = [[rng.choice((0, 0, 1, -1, 3)) for _ in range(n)] for _ in range(k)]
+        entries = {(r, c): v for r, row in enumerate(b) for c, v in enumerate(row) if v}
+        dense = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+        want = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+        assert distmod.times_entries(a, entries) == want
+    # one entry summed from two terms, and two terms that cancel
+    assert distmod.times_entries(((1, 1),), {(0, 0): 2, (1, 0): 3}) == {(0, 0): 5}
+    assert distmod.times_entries(((1, 1),), {(0, 0): 1, (1, 0): -1}) == {}
+
+
 def test_trivial_module_validates_without_products(monkeypatch):
     calls = []
-    product = distmod._mat_mul
+    product = distmod.times_entries
 
-    def counted(a, b):
+    def counted(block, entries):
         calls.append(1)
-        return product(a, b)
+        return product(block, entries)
 
-    monkeypatch.setattr(distmod, "_mat_mul", counted)
+    monkeypatch.setattr(distmod, "times_entries", counted)
     space = digraph_to_space(random_digraph(10, 3, 0.3))
     module = trivial_module(space, 1, 2)
     assert module.validated
     assert calls == []
+
+
+SUITE_DIGRAPHS = [g for _, g in standard_suite_digraphs()]
+
+
+@st.composite
+def reader_cases(draw):
+    """A random module over a suite or random digraph, summed with a row
+    scaled by c (its coinvariants have torsion c when x has a successor)
+    and with a trivial piece at grade 1/2, and given stored identity
+    self-actions, each on a draw."""
+    if draw(st.booleans()):
+        graph = draw(st.sampled_from(SUITE_DIGRAPHS))
+    else:
+        graph = random_digraph(draw(st.integers(3, 6)), draw(st.integers(0, 99)), 0.4)
+    space = digraph_to_space(graph)
+    module = random_module(space, draw(st.integers(0, 10**6)))
+    c, x = draw(st.sampled_from((1, 2, 3))), draw(st.sampled_from(space.points))
+    if c > 1:
+        module = direct_sum(module, _scale_actions(representable_module(space, x), c))
+    if draw(st.booleans()):
+        module = direct_sum(module, trivial_module(space, Fraction(1, 2), 1))
+    if draw(st.booleans()):
+        actions = dict(module.actions)
+        for i, comp in enumerate(module.components):
+            actions[(i, i)] = {
+                g: tuple(tuple(int(r == s) for s in range(k)) for r in range(k))
+                for g, k in comp.items()
+            }
+        module = DistanceModule(space, module.components, actions)
+    assert validate_module(space, module) == []
+    return graph, module, c, x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=reader_cases(), rnd=st.randoms(use_true_random=False))
+def test_readers_match_the_dense_references(case, rnd):
+    graph, module, c, x = case
+    space = module.space
+    assert invariants(module) == reference_invariants(module)
+    coinv = coinvariants(module)
+    assert coinv == reference_coinvariants(module)
+    if c > 1 and graph.successors(x):
+        assert any(block.torsion for block in coinv)
+    for g in module.grades() + [Fraction(1, 2), Fraction(99)]:
+        assert hom_from_trivial(module, g) == reference_hom_from_trivial(module, g)
+    other = random_module(space, rnd.randrange(10**6))
+    assert direct_sum(module, other) == reference_direct_sum(module, other)
+    # arc maps scaled by 0, 1 or 2 and some zeros made 1, shapes kept: the
+    # composites and both sides of the composition law can differ, and a
+    # product entry can be a sum of several nonzero terms
+    actions = {pair: dict(per_grade) for pair, per_grade in module.actions.items()}
+    for pair in sorted(actions):
+        if space.d(*pair) == 1 and rnd.random() < 0.3:
+            for g, mat in sorted(actions[pair].items()):
+                factor = rnd.choice((0, 1, 2))
+                actions[pair][g] = tuple(
+                    tuple(v * factor or rnd.choice((0, 0, 1)) for v in row) for row in mat
+                )
+    mutated = DistanceModule(space, module.components, actions)
+    got = check_representation_relations(graph, mutated)
+    assert got == reference_representation_violations(graph, mutated)
+    assert validate_module(space, mutated) == reference_validate_module(space, mutated)

@@ -258,8 +258,13 @@ def test_integer_kernel_basis():
 
 
 def _shuffled(blocks, rng, spare_rows=0, spare_cols=0):
-    """Dense rows of block_diag(blocks) plus zero lines, rows and columns shuffled."""
-    diag = dense_rows(SparseMatrix.block_diag([M(b) for b in blocks]))
+    """Dense rows of the block-diagonal matrix of the blocks plus zero lines,
+    rows and columns shuffled."""
+    width = sum(len(b[0]) for b in blocks)
+    diag, c0 = [], 0
+    for b in blocks:
+        diag += [[0] * c0 + row + [0] * (width - c0 - len(row)) for row in b]
+        c0 += len(b[0])
     n = len(diag[0]) + spare_cols if diag else spare_cols
     dense = [row + [0] * spare_cols for row in diag] + [[0] * n for _ in range(spare_rows)]
     perm = list(range(n))
@@ -766,18 +771,6 @@ def test_solve_in_span_mixed_batch():
             outside += expected.count(None)
     assert outside > 0
     assert solve_in_span([[1, 0], [0, 1]], [], QQ) == []
-def test_block_helpers():
-    a = M([[1]])
-    b = M([[2, 0], [0, 3]])
-    d = SparseMatrix.block_diag([a, b])
-    assert d.rows == 3 and d.cols == 3 and d[(2, 2)] == 3
-    h = SparseMatrix.hstack([M([[1], [0]]), M([[0], [5]])])
-    assert h.rows == 2 and h.cols == 2 and h[(1, 1)] == 5
-
-
-def test_hstack_rejects_unequal_row_counts():
-    with pytest.raises(ValueError):
-        SparseMatrix.hstack([M([[1], [0]]), M([[0], [5], [7]])])
 
 
 def test_matmul_and_transpose():

@@ -117,6 +117,18 @@ def test_representation_violation_detected():
     assert violations[0].relation == (("a", "b", "d"), ("a", "c", "d"))
 
 
+@pytest.mark.parametrize("arc_map, shape", [(((1, 7),), "1x2"), (((1,), (5,)), "2x1")])
+def test_misshapen_arc_map_is_reported_before_composing(arc_map, shape):
+    g = diamond_digraph()
+    space = digraph_to_space(g)
+    a, b, c, d = (space.idx(v) for v in "abcd")
+    comps = {a: {Fraction(0): 1}, b: {Fraction(1): 1}, c: {Fraction(1): 1}, d: {Fraction(2): 1}}
+    actions = {(a, b): {Fraction(0): arc_map}, (b, d): {Fraction(1): ((1,),)}}
+    violations = check_representation_relations(g, DistanceModule(space, comps, actions))
+    assert [(v.relation, v.grade) for v in violations] == [((("a", "b"),), 0)]
+    assert violations[0].detail == f"arc map a->b at grade 0 is {shape}, expected 1x1"
+
+
 def test_r2_violation_detected():
     g = directed_cycle(3)
     space = digraph_to_space(g)
