@@ -4,7 +4,8 @@ A grade-l complex lives on normalized tuples (x_0, ..., x_n): consecutive
 points distinct, all consecutive distances finite, summing to l.  The
 boundary deletes interior points where betweenness holds; on normalized
 generators the two outer faces vanish (deleting an endpoint drops the grade,
-and tuples of lower grade are identified with zero).
+and tuples of lower grade are identified with zero).  Every complex is
+built in full when it is made: all its bases, then all its boundaries.
 """
 
 from __future__ import annotations
@@ -90,40 +91,33 @@ def tuples_up_to_grade(space: QuasimetricSpace, n: int, cap, normalized: bool = 
 class BasedComplex:
     """A chain complex on explicit ordered bases with sparse integer boundaries.
 
-    basis_of(n) builds the degree-n basis and boundary_of(n, source, target)
-    the boundary d_n on the degree-n and degree-(n-1) bases; each degree is
-    built once, on first use, and each field rank is taken once.  Degrees run
-    0..n_max+1 so homology at n_max is exact, never extrapolated; outside
-    them the complex is zero, so d_0 and d_(n_max+2) are zero maps.  The
-    dual cochain complex is read through coboundary(); field tags the field
-    that coboundaries are reduced into.
+    Built in full when made: basis_of(n) gives the degree-n basis for every
+    n = 0..n_max+1, all bases first, then boundary_of(n, source, target) the
+    boundary d_n on the degree-n and degree-(n-1) bases for n = 1..n_max+1.
+    The complex keeps them as the lists `bases` and `maps` (d_0..d_(n_max+1),
+    d_0 with zero rows) and no reference to the builders; each field rank is
+    taken once.  Degrees run 0..n_max+1 so homology at n_max is exact, never
+    extrapolated; outside them the complex is zero, so d_(n_max+2) is a zero
+    map.  The dual cochain complex is read through coboundary(); field tags
+    the field that coboundaries are reduced into.
     """
 
     def __init__(self, n_max: int, basis_of, boundary_of, grade=Fraction(0), field=None):
         self.n_max = n_max
         self.grade = grade
         self.field = field
-        self._basis_of = basis_of
-        self._boundary_of = boundary_of
-        self._bases = {}
-        self._maps = {}
+        # the bases go first, in one run: interleaving the long-lived tuple
+        # lists with each boundary's temporary index fragments the heap
+        # (chain-z's peak RSS rose by 0.3 MB)
+        bases = self.bases = [basis_of(n) for n in range(n_max + 2)]
+        self.maps = [
+            boundary_of(n, bases[n], bases[n - 1]) if n else SparseMatrix(0, len(bases[0]))
+            for n in range(n_max + 2)
+        ]
         self._ranks = {}
 
     def basis(self, n: int) -> list:
-        if not 0 <= n <= self.n_max + 1:
-            return []
-        if n not in self._bases:
-            self._bases[n] = self._basis_of(n)
-        return self._bases[n]
-
-    @property
-    def bases(self) -> list:
-        return [self.basis(n) for n in range(self.n_max + 2)]
-
-    @property
-    def maps(self) -> list:
-        """d_0..d_(n_max+1); maps[0] has zero rows."""
-        return [self.boundary(n) for n in range(self.n_max + 2)]
+        return self.bases[n] if 0 <= n <= self.n_max + 1 else []
 
     def dim(self, n: int) -> int:
         return len(self.basis(n))
@@ -132,13 +126,9 @@ class BasedComplex:
         return self.n_max + 1
 
     def boundary(self, n: int) -> SparseMatrix:
-        if n not in self._maps:
-            if 1 <= n <= self.n_max + 1:
-                mat = self._boundary_of(n, self.basis(n), self.basis(n - 1))
-            else:
-                mat = SparseMatrix(self.dim(n - 1), self.dim(n))
-            self._maps[n] = mat
-        return self._maps[n]
+        if 0 <= n <= self.n_max + 1:
+            return self.maps[n]
+        return SparseMatrix(self.dim(n - 1), self.dim(n))
 
     def verify(self) -> bool:
         """Exact check that consecutive boundaries compose to zero."""
@@ -178,20 +168,6 @@ class BasedComplex:
         return self.dim(n) - self._rank(n, fld) - self._rank(n + 1, fld)
 
 
-def _built(cx: BasedComplex) -> BasedComplex:
-    """Build every degree now, so a chain builder returns its complex assembled.
-
-    The bases go first, in one run: interleaving the long-lived tuple lists
-    with each boundary's temporary index fragments the heap (chain-z's peak
-    RSS rose by 0.3 MB).
-    """
-    for n in range(cx.n_max + 2):
-        cx.basis(n)
-    for n in range(cx.n_max + 2):
-        cx.boundary(n)
-    return cx
-
-
 def magnitude_complex(space: QuasimetricSpace, grade, n_max: int) -> BasedComplex:
     """Normalized chain complex with trivial coefficients at one grade.
 
@@ -200,7 +176,7 @@ def magnitude_complex(space: QuasimetricSpace, grade, n_max: int) -> BasedComple
     that point deleted; built through degree n_max+1.
     """
     grade = parse_dist(grade)
-    return _built(_trivial_complex(space, grade, n_max, None))
+    return _trivial_complex(space, grade, n_max, None)
 
 
 def _trivial_complex(space: QuasimetricSpace, grade: Fraction, n_max: int, fld) -> BasedComplex:
@@ -274,7 +250,7 @@ def magnitude_complex_with_coefficients(space, module, grade, n_max: int) -> Bas
                     entries[target_index[(t[:i] + t[i + 1 :], j)], col] = -1 if i % 2 else 1
         return mat
 
-    return _built(BasedComplex(n_max, basis, boundary, grade=grade))
+    return BasedComplex(n_max, basis, boundary, grade=grade)
 
 
 def magnitude_cochain_complex(space, grade, n_max: int, fld) -> BasedComplex:
@@ -282,4 +258,4 @@ def magnitude_cochain_complex(space, grade, n_max: int, fld) -> BasedComplex:
     coboundary(n), the transpose of boundary(n+1) reduced into the field."""
     check_field(fld)
     grade = parse_dist(grade)
-    return _built(_trivial_complex(space, grade, n_max, fld))
+    return _trivial_complex(space, grade, n_max, fld)

@@ -372,17 +372,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="JSON file: digraph, space, or module")
+    for name in COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("input", help="JSON file: digraph, space, or module")
         p.add_argument("--nmax", type=int, default=3)
         p.add_argument("--lmax", type=parse_dist, default=Fraction(3))
         p.add_argument("--field", type=parse_field_flag, default=None, help="Z, Q, or Fp:P")
         p.add_argument("--format", dest="fmt", default="table", help="json, csv, or table")
         p.add_argument("--coefficients", default=None, help="module JSON for coefficients")
 
-    for name in COMMANDS:
-        common(sub.add_parser(name))
     gen = sub.add_parser("gen", help="emit a seeded random space")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--points", type=int, default=4)

@@ -78,7 +78,8 @@ class DistanceModule:
     actions: {(i, j): {grade: matrix}} for i != j with finite d(i, j); a
     missing entry is the zero map.  Matrices are tuples of tuples of ints,
     shaped rank(j, g + d) x rank(i, g).  A rank or an entry that is not an
-    integer, or a negative rank, raises InvalidInput naming its point or pair.
+    integer, a negative rank, or a matrix or row that is not a list or tuple
+    raises InvalidInput naming its point or pair.
     An all-zero matrix is dropped only where it is that zero map; one on a
     pair (x, x), at infinite distance or of another shape is kept, so that
     validate_module reports it as it would a nonzero one.
@@ -99,12 +100,20 @@ class DistanceModule:
         self.components = tuple(comps)
         acts = {}
         for (i, j), per_grade in actions.items():
-            where = f"action entry {space.points[i]!r}->{space.points[j]!r}"
+            pair = f"{space.points[i]!r}->{space.points[j]!r}"
+            where = f"action entry {pair}"
             d = space.d(i, j)
             kept = {}
             for g, mat in per_grade.items():
-                mat = tuple(tuple(_integer(v, where) for v in row) for row in mat)
                 g = _finite_grade(g)
+                if not isinstance(mat, (list, tuple)) or not all(
+                    isinstance(row, (list, tuple)) for row in mat
+                ):
+                    raise InvalidInput(
+                        f"action {pair} at grade {format_dist(g)} must be a list of rows"
+                        f" of integers, not {mat!r}"
+                    )
+                mat = tuple(tuple(_integer(v, where) for v in row) for row in mat)
                 if (
                     i == j
                     or d is INF

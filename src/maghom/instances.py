@@ -52,23 +52,6 @@ def k2_digraph() -> Digraph:
     return Digraph(["x", "y"], [("x", "y"), ("y", "x")])
 
 
-def standard_suite() -> list[tuple[str, QuasimetricSpace]]:
-    """The instances exercised by the crosscheck and ring test batteries:
-    the single arc, the symmetric pair, directed cycles of length 3..5, the
-    diamond, and every labeled tournament on three vertices."""
-    named = [
-        ("X2", x2()),
-        ("K2", k2()),
-        ("C3", digraph_to_space(directed_cycle(3))),
-        ("C4", digraph_to_space(directed_cycle(4))),
-        ("C5", digraph_to_space(directed_cycle(5))),
-        ("diamond", digraph_to_space(diamond_digraph())),
-    ]
-    for i, t in enumerate(tournaments3()):
-        named.append((f"T3_{i}", digraph_to_space(t)))
-    return named
-
-
 def standard_suite_digraphs() -> list[tuple[str, Digraph]]:
     named = [
         ("X2", x2_digraph()),
@@ -81,3 +64,10 @@ def standard_suite_digraphs() -> list[tuple[str, Digraph]]:
     for i, t in enumerate(tournaments3()):
         named.append((f"T3_{i}", t))
     return named
+
+
+def standard_suite() -> list[tuple[str, QuasimetricSpace]]:
+    """The instances exercised by the crosscheck and ring test batteries:
+    the single arc, the symmetric pair, directed cycles of length 3..5, the
+    diamond, and every labeled tournament on three vertices."""
+    return [(name, digraph_to_space(graph)) for name, graph in standard_suite_digraphs()]

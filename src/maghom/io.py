@@ -72,7 +72,7 @@ def load_module(data, base_dir: Path | None = None) -> tuple[QuasimetricSpace, D
         if pair in actions:
             raise InvalidInput(f"action {x!r}->{y!r} is given twice")
         where = f"action {x!r}->{y!r}"
-        actions[pair] = _by_grade(_object(per_grade, where).items(), where)
+        actions[pair] = _by_grade(list(_object(per_grade, where).items()), where)
     return space, DistanceModule(space, components, actions)
 
 
@@ -84,10 +84,16 @@ def _object(value, where) -> dict:
 
 
 def _by_grade(pairs, where) -> dict:
-    """{grade: value} of (grade literal, value) pairs; two literals of one
-    grade, such as "0" and "0/1", are an error, not an overwrite."""
+    """{grade: value} of a list of (grade literal, value) pairs; two literals
+    of one grade, such as "0" and "0/1", are an error, not an overwrite.  Only
+    a component list can be of another shape: it holds [grade, rank] pairs."""
+    if not isinstance(pairs, list):
+        raise InvalidInput(f"{where} must be a list of [grade, rank] pairs, not {pairs!r}")
     out = {}
-    for g, value in pairs:
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise InvalidInput(f"{where} must hold [grade, rank] pairs, not {pair!r}")
+        g, value = pair
         grade = parse_dist(g)
         if grade in out:
             raise InvalidInput(f"{where} gives grade {format_dist(grade)} twice")

@@ -51,6 +51,11 @@ class QuiverRelations:
     r2: tuple  # (path, ...)
 
 
+def _diameter(space: QuasimetricSpace) -> Fraction:
+    """The largest finite distance of the space; 0 when it has no points."""
+    return max((d for row in space.dist for d in row if d is not INF), default=Fraction(0))
+
+
 def quiver_relations(graph: Digraph) -> QuiverRelations:
     """Enumerate R1 and R2 generators up to the natural length bound.
 
@@ -58,16 +63,9 @@ def quiver_relations(graph: Digraph) -> QuiverRelations:
     one arc longer than a shortest subpath, so diameter + 1 covers both.
     """
     space = digraph_to_space(graph)
-    finite = [
-        space.d(i, j)
-        for i in range(len(space))
-        for j in range(len(space))
-        if space.d(i, j) is not INF
-    ]
-    diameter = max(finite) if finite else Fraction(0)
     r1 = []
     r2 = []
-    for length in range(2, int(diameter) + 2):
+    for length in range(2, int(_diameter(space)) + 2):
         groups = {}
         for p in paths_of_length(graph, length):
             if is_shortest(space, p):
@@ -83,11 +81,12 @@ def quiver_relations(graph: Digraph) -> QuiverRelations:
     return QuiverRelations(r1=tuple(sorted(r1)), r2=tuple(sorted(r2)))
 
 
-def _relation_span_at(graph, relations, length, path_index):
+def _relation_span_at(relations, length, paths, path_index):
     """Degree-`length` span of the ideal generated by the relations.
 
-    Generators are padded on both sides by arbitrary paths; each padded
-    element is a vector over the paths of the given length.
+    Generators are padded on both sides by arbitrary paths, read from
+    paths[k], the paths with k arcs; each padded element is a vector over
+    the paths of the given length.
     """
     span = []
     gens = [(a, b) for a, b in relations.r1] + [(p, None) for p in relations.r2]
@@ -97,10 +96,10 @@ def _relation_span_at(graph, relations, length, path_index):
             right_len = length - left_len - core_len
             if right_len < 0:
                 continue
-            for left in paths_of_length(graph, left_len):
+            for left in paths[left_len]:
                 if left[-1] != g1[0]:
                     continue
-                for right in paths_of_length(graph, right_len):
+                for right in paths[right_len]:
                     if right[0] != g1[-1]:
                         continue
                     vec = {}
@@ -140,26 +139,20 @@ def check_bound_quiver_presentation(graph: Digraph, l_max: int) -> PresentationR
     relations_inside_square = all(len(a) - 1 >= 2 for a, _ in relations.r1) and all(
         len(p) - 1 >= 2 for p in relations.r2
     )
-    finite = [
-        space.d(i, j)
-        for i in range(len(space))
-        for j in range(len(space))
-        if space.d(i, j) is not INF
-    ]
-    exponent = int(max(finite)) + 1 if finite else 1
+    exponent = int(_diameter(space)) + 1
+    paths = [paths_of_length(graph, length) for length in range(max(l_max, exponent) + 1)]
     dims = []
-    for length in range(0, max(l_max, exponent) + 1):
-        paths = paths_of_length(graph, length)
-        path_index = {p: k for k, p in enumerate(paths)}
-        span_vecs = _relation_span_at(graph, relations, length, path_index)
+    for length, level in enumerate(paths):
+        path_index = {p: k for k, p in enumerate(level)}
+        span_vecs = _relation_span_at(relations, length, paths, path_index)
         if span_vecs:
-            mat = SparseMatrix(len(paths), len(span_vecs))
+            mat = SparseMatrix(len(level), len(span_vecs))
             for c, vec in enumerate(span_vecs):
                 for r, v in vec.items():
                     mat.add_at(r, c, v)
-            quotient_dim = len(paths) - rank_over_field(mat, QQ)
+            quotient_dim = len(level) - rank_over_field(mat, QQ)
         else:
-            quotient_dim = len(paths)
+            quotient_dim = len(level)
         pair_count = sum(
             1
             for i in range(len(space))

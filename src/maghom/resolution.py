@@ -12,7 +12,7 @@ the differential written on generators has coefficients in the algebra; the
 differential on the tuple basis, one complex per grade, is read off it.
 The generator lengths are walked when a resolution is built, grouped by
 grade in integer units of 1/D; the one longer length that only the full
-basis of the top degree holds is walked on first use.
+basis of the top degree holds is walked when that basis is first read.
 Tensoring a right module against the left resolution and Hom-ing the right
 resolution into a right module then reduce to finite integer matrices,
 giving a computation of Tor and Ext independent of the chain-complex route.
@@ -20,13 +20,11 @@ Both are one module complex: the Hom coboundaries are read as the transposed
 maps that the same builder assembles on the right resolution.  The tuples
 are unnormalized, but a run of equal points cancels to at most one term, so
 the builder writes each entry once, reading only stored actions and the int
-term lists of its bases' generators.  A resolution's cached module complex
-reads it through a weak proxy, so the resolution dies with its caller.
+term lists of its bases' generators.  Every complex holds only its bases and
+maps, never the resolution, so a resolution dies with its caller.
 """
 
 from __future__ import annotations
-
-import weakref
 
 from .chain import BasedComplex, _walks
 from .errors import InvalidInput, ResolutionTooShort, SpaceMismatch, UnvalidatedModule
@@ -129,8 +127,8 @@ class BarResolution:
         return list(self._basis_groups(n).get(units, ()))
 
     def complex_at(self, grade) -> BasedComplex:
-        """The resolution's tuple complex at one grade, a fresh one per call,
-        built lazily per degree; the resolution keeps no reference to it.
+        """The resolution's tuple complex at one grade, a fresh one per call;
+        neither keeps a reference to the other.
 
         Degree n holds the degree-n basis tuples of that grade in tuple
         order, n = 0..n_max; deletions keep the grade, so d_n is the tuple
@@ -138,9 +136,10 @@ class BarResolution:
         """
         grade = parse_dist(grade)
         units = self.space.to_units(grade)
+        basis = self.basis
         return BasedComplex(
             self.n_max - 1,
-            lambda n: [self.basis[n][i] for i in self._basis_groups(n).get(units, ())],
+            lambda n: [basis[n][i] for i in self._basis_groups(n).get(units, ())],
             self._tuple_boundary,
             grade=grade,
         )
@@ -292,9 +291,8 @@ def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
     homological degree n; every check runs before a resolution is built.
 
     A given resolution keeps the last complex it built, for that module
-    object and grade, read through a weak proxy, so the degrees of one grade
-    share its maps and their eliminations; a default one is read strongly
-    and keeps none.  The checks run on every call."""
+    object and grade, so the degrees of one grade share its maps and their
+    eliminations; a default one keeps none.  The checks run on every call."""
     if module.space is not space and module.space != space:
         raise UnvalidatedModule("module lives over a different space")
     if not module.validated:
@@ -321,7 +319,7 @@ def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
         cached = resolution._module_complex
         if cached is not None and cached[0] is module and cached[1] == grade:
             return cached[2]
-        res = weakref.proxy(resolution)
+        res = resolution
     cx = BasedComplex(
         res.n_max - 1,
         lambda k: _components(res, module, k, grade),

@@ -619,6 +619,37 @@ def test_module_lists_in_place_of_objects_are_invalid_input(capsys, tmp_path, fi
     assert err == {"error": "InvalidInput", "detail": detail}
 
 
+@pytest.mark.parametrize(
+    "fields, detail",
+    [
+        (
+            {"actions": {"a->b": {"0": "xy"}}},
+            "action 'a'->'b' at grade 0 must be a list of rows of integers, not 'xy'",
+        ),
+        (
+            {"actions": {"a->b": {"0": 5}}},
+            "action 'a'->'b' at grade 0 must be a list of rows of integers, not 5",
+        ),
+        (
+            {"actions": {"a->b": {"0": [5, 6]}}},
+            "action 'a'->'b' at grade 0 must be a list of rows of integers, not [5, 6]",
+        ),
+        ({"components": {"a": 7}}, "point 'a' must be a list of [grade, rank] pairs, not 7"),
+        ({"components": {"a": [["0"]]}}, "point 'a' must hold [grade, rank] pairs, not ['0']"),
+    ],
+    ids=["string-matrix", "number-matrix", "number-rows", "number-components", "short-pair"],
+)
+def test_misshapen_module_values_are_invalid_input(capsys, tmp_path, fields, detail):
+    # a string matrix was read as rows of characters, and the others ended
+    # in a bare TypeError or ValueError text
+    space = {"points": ["a", "b"], "dist": [["0", "1"], ["inf", "0"]]}
+    module = {"space": space, "components": {"a": [["0", 1]], "b": [["1", 1]]}, **fields}
+    p = tmp_path / "mod.json"
+    p.write_text(json.dumps(module))
+    err = _error(*run(capsys, "validate", str(p)))
+    assert err == {"error": "InvalidInput", "detail": detail}
+
+
 def test_mutated_inputs_never_raise(capsysbinary, tmp_path):
     # seeded truncations and one-character edits of small valid files: every
     # run exits 0, or 1 with the structured error (or validate's own report)

@@ -369,11 +369,25 @@ def test_one_bidegree_lists_each_degree_once(monkeypatch):
     monkeypatch.setattr(resolution, "_components", counted)
     space = c3()
     module = trivial_module(space, 0, 1)
+    # the complex is built in full: degrees 0..n_max of the resolution, each once
     tor_bidegree(space, module, 1, 2, resolution=bar_resolution(space, "left", 3, 2))
-    assert sorted(degrees) == [0, 1, 2]
+    assert sorted(degrees) == [0, 1, 2, 3]
     degrees.clear()
     ext_bidegree(space, module, 1, 2, QQ, resolution=bar_resolution(space, "right", 3, 2))
-    assert sorted(degrees) == [0, 1, 2]
+    assert sorted(degrees) == [0, 1, 2, 3]
+
+
+def test_a_grade_complex_outlives_its_resolution():
+    import weakref
+
+    res = bar_resolution(c3(), "left", 3, 1)
+    alive = weakref.ref(res)
+    cx = res.complex_at(0)
+    del res
+    assert alive() is None
+    fresh = bar_resolution(c3(), "left", 3, 1)
+    assert [cx.homology(n) for n in range(3)] == [resolution_homology(fresh, n, 0) for n in range(3)]
+    assert cx.homology(0).betti == 3
 
 
 def test_differential_preserves_grade():
