@@ -13,14 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UnvalidatedModule
-from .linalg import (
-    HomologySummary,
-    PrimeField,
-    SparseMatrix,
-    check_field,
-    homology_at,
-    rank_over_field,
-)
+from .linalg import HomologySummary, SparseMatrix, check_field, homology_at, rank_over_field
 from .space import INF, QuasimetricSpace, parse_dist
 
 
@@ -89,7 +82,8 @@ def tuples_up_to_grade(space: QuasimetricSpace, n: int, cap, normalized: bool = 
 
 
 class BasedComplex:
-    """A chain complex on explicit ordered bases with sparse integer boundaries.
+    """A chain complex of free abelian groups on explicit ordered bases,
+    with sparse int boundaries.
 
     Built in full when made: basis_of(n) gives the degree-n basis for every
     n = 0..n_max+1, all bases first, then boundary_of(n, source, target) the
@@ -98,14 +92,14 @@ class BasedComplex:
     d_0 with zero rows) and no reference to the builders; each field rank is
     taken once.  Degrees run 0..n_max+1 so homology at n_max is exact, never
     extrapolated; outside them the complex is zero, so d_(n_max+2) is a zero
-    map.  The dual cochain complex is read through coboundary(); field tags
-    the field that coboundaries are reduced into.
+    map.  The dual cochain complex is read through coboundary().  The
+    complex carries no field: homology and cohomology over QQ or GF(p) read
+    the same int maps, each field through its own reduction.
     """
 
-    def __init__(self, n_max: int, basis_of, boundary_of, grade=Fraction(0), field=None):
+    def __init__(self, n_max: int, basis_of, boundary_of, grade=Fraction(0)):
         self.n_max = n_max
         self.grade = grade
-        self.field = field
         # the bases go first, in one run: interleaving the long-lived tuple
         # lists with each boundary's temporary index fragments the heap
         # (chain-z's peak RSS rose by 0.3 MB)
@@ -139,11 +133,8 @@ class BasedComplex:
 
     def coboundary(self, n: int) -> SparseMatrix:
         """delta_n, degree n -> n+1: the transposed boundary d_(n+1), with
-        entries reduced into the field when it is a prime field."""
-        mat = self.boundary(n + 1).transpose()
-        if isinstance(self.field, PrimeField):
-            mat = mat.reduce_mod(self.field.p)
-        return mat
+        int entries."""
+        return self.boundary(n + 1).transpose()
 
     def _check_degree(self, n: int):
         if not 0 <= n <= self.n_max:
@@ -176,10 +167,10 @@ def magnitude_complex(space: QuasimetricSpace, grade, n_max: int) -> BasedComple
     that point deleted; built through degree n_max+1.
     """
     grade = parse_dist(grade)
-    return _trivial_complex(space, grade, n_max, None)
+    return _trivial_complex(space, grade, n_max)
 
 
-def _trivial_complex(space: QuasimetricSpace, grade: Fraction, n_max: int, fld) -> BasedComplex:
+def _trivial_complex(space: QuasimetricSpace, grade: Fraction, n_max: int) -> BasedComplex:
     """The trivial-coefficient complex at one grade; the one assembly that
     the chain and cochain complexes share."""
 
@@ -196,9 +187,7 @@ def _trivial_complex(space: QuasimetricSpace, grade: Fraction, n_max: int, fld) 
                     entries[target_index[t[:i] + t[i + 1 :]], col] = -1 if i % 2 else 1
         return mat
 
-    return BasedComplex(
-        n_max, lambda n: enumerate_tuples(space, n, grade), boundary, grade=grade, field=fld
-    )
+    return BasedComplex(n_max, lambda n: enumerate_tuples(space, n, grade), boundary, grade=grade)
 
 
 def magnitude_complex_with_coefficients(space, module, grade, n_max: int) -> BasedComplex:
@@ -254,8 +243,12 @@ def magnitude_complex_with_coefficients(space, module, grade, n_max: int) -> Bas
 
 
 def magnitude_cochain_complex(space, grade, n_max: int, fld) -> BasedComplex:
-    """Dual complex over a field: same bases and boundaries, read through
-    coboundary(n), the transpose of boundary(n+1) reduced into the field."""
+    """The cochain complex at one grade: the chain complex's bases and int
+    boundaries, read through coboundary(n), the transpose of boundary(n+1).
+
+    fld is checked but not kept: the complex serves every field, and each
+    reader reduces the int coboundaries into its own.
+    """
     check_field(fld)
     grade = parse_dist(grade)
-    return _trivial_complex(space, grade, n_max, fld)
+    return _trivial_complex(space, grade, n_max)

@@ -31,12 +31,11 @@ from .space import INF, attainable_grades, format_dist, parse_dist
 
 @dataclass
 class JobSpec:
-    """One parsed invocation: bounds, field, output format."""
+    """One parsed invocation: bounds and field."""
 
     n_max: int
     l_max: Fraction
     field: object  # None for integers, else a field object
-    output_format: str
 
     def __post_init__(self):
         if self.n_max < 0:
@@ -411,18 +410,13 @@ def main(argv=None) -> int:
             problems = validate_module(space, module)
             if problems and args.command != "validate":
                 raise InvalidInput(f"module invalid: {problems[0]}")
-        job = JobSpec(
-            n_max=args.nmax,
-            l_max=args.lmax,
-            field=args.field,
-            output_format=args.fmt,
-        )
+        job = JobSpec(n_max=args.nmax, l_max=args.lmax, field=args.field)
         handler = COMMANDS[args.command]
         if args.command == "relations":
             code, report = handler(space, module, job, graph=graph)
         else:
             code, report = handler(space, module, job)
-        sys.stdout.buffer.write(emit(report, job.output_format))
+        sys.stdout.buffer.write(emit(report, args.fmt))
         return code
     except MagnitudeError as err:
         error = {"error": type(err).__name__, "detail": str(err)}

@@ -1,7 +1,8 @@
 """JSON file schemas: digraphs, spaces, distance modules, reports.
 
-Grades and distances travel as exact strings ("3/2", "2", "inf"); floats
-never appear.  Key order in emitted JSON is sorted, so identical inputs
+Grades and distances travel as exact strings ("3/2", "2", "inf") or JSON
+integers; a float or a boolean is refused, and so is a string where a list
+is expected.  Key order in emitted JSON is sorted, so identical inputs
 produce identical bytes.
 """
 
@@ -23,7 +24,11 @@ from .space import (
 
 
 def load_digraph(data) -> Digraph:
-    return Digraph(data["vertices"], [tuple(arc) for arc in data["arcs"]])
+    arcs = _list(data["arcs"], "arcs")
+    for arc in arcs:
+        if not isinstance(arc, list) or len(arc) != 2:
+            raise InvalidInput(f"each arc must be a [tail, head] list, not {arc!r}")
+    return Digraph(_list(data["vertices"], "vertices"), [tuple(arc) for arc in arcs])
 
 
 def dump_digraph(graph: Digraph) -> dict:
@@ -34,7 +39,8 @@ def dump_digraph(graph: Digraph) -> dict:
 
 
 def load_space(data) -> QuasimetricSpace:
-    return validate_space(data["points"], data["dist"])
+    rows = [_list(row, "each dist row") for row in _list(data["dist"], "dist")]
+    return validate_space(_list(data["points"], "points"), rows)
 
 
 def dump_space(space: QuasimetricSpace) -> dict:
@@ -51,6 +57,8 @@ def load_module(data, base_dir: Path | None = None) -> tuple[QuasimetricSpace, D
     actions: {"x->y": {grade: [[int, ...] rows]}}
     Ranks and entries must be JSON integers; DistanceModule checks them.
     """
+    if "space" not in data:
+        raise InvalidInput('a module file needs a "space" key: a space, a digraph or a path to one')
     ref = data["space"]
     if isinstance(ref, str):
         path = Path(ref)
@@ -74,6 +82,13 @@ def load_module(data, base_dir: Path | None = None) -> tuple[QuasimetricSpace, D
         where = f"action {x!r}->{y!r}"
         actions[pair] = _by_grade(list(_object(per_grade, where).items()), where)
     return space, DistanceModule(space, components, actions)
+
+
+def _list(value, where) -> list:
+    """A JSON list, or InvalidInput naming where one was expected."""
+    if not isinstance(value, list):
+        raise InvalidInput(f"{where} must be a JSON list, not {value!r}")
+    return value
 
 
 def _object(value, where) -> dict:

@@ -5,12 +5,14 @@ bases from the echelon span: one integer elimination on Python ints gives
 Smith forms, integer kernels and every rank (over QQ the number of its
 pivots, over GF(p) the number that p does not divide), and one field
 elimination on Fractions or on ints reduced mod p gives kernels and solves
-over either field.  The integer elimination first peels the unit pivots
-that need no arithmetic (a +-1 alone in its column or in its row), then
-searches the rest block by block.  A matrix keeps its pivot values once
-eliminated, so its Smith form and its ranks over every field share one
-elimination.  Intermediate coefficient growth during elimination is
-expected and harmless.
+over either field.  The integer elimination takes int matrices only and
+raises TypeError on any other entry; every matrix the package builds is
+one, and each field reads it through its own reduction.  It first peels
+the unit pivots that need no arithmetic (a +-1 alone in its column or in
+its row), then searches the rest block by block.  A matrix keeps its pivot
+values once eliminated, so its Smith form and its ranks over every field
+share one elimination.  Intermediate coefficient growth during elimination
+is expected and harmless.
 """
 
 from __future__ import annotations
@@ -131,12 +133,14 @@ def check_field(fld):
 class SparseMatrix:
     """Sparse matrix as {(row, col): value}; zero entries are never stored.
 
-    Values are exact scalars (int or Fraction).  Integer-only routines such
-    as snf() assume int entries.  The pivot values of the matrix's Smith
-    elimination are kept on it once snf() or rank_over_field() has run, so
-    each matrix is eliminated once, beside the columns that elimination
-    cleared (see `homology_at`); add_at() drops both.  Write `entries`
-    directly only on a matrix that nothing has eliminated yet.
+    Values are exact scalars.  The integer routines (snf, rank_over_field,
+    integer_kernel_basis, homology_at) take int entries only and raise
+    TypeError on any other, a bool included; the field routines also read
+    Fractions.  The pivot values of the matrix's Smith elimination are kept
+    on it once snf() or rank_over_field() has run, so each matrix is
+    eliminated once, beside the columns that elimination cleared (see
+    `homology_at`); add_at() drops both.  Write `entries` directly only on
+    a matrix that nothing has eliminated yet.
     """
 
     __slots__ = ("rows", "cols", "entries", "_pivots", "_cleared")
@@ -213,14 +217,6 @@ class SparseMatrix:
                 acc[key] = acc.get(key, 0) + v * w
         out = SparseMatrix(self.rows, other.cols)
         out.entries = {k: v for k, v in acc.items() if v != 0}
-        return out
-
-    def reduce_mod(self, p: int) -> "SparseMatrix":
-        out = SparseMatrix(self.rows, self.cols)
-        for k, v in self.entries.items():
-            vv = v % p
-            if vv:
-                out.entries[k] = vv
         return out
 
 
@@ -305,9 +301,16 @@ def _pick_pivot(block, rows, cols):
 
 
 def _lines(matrix: SparseMatrix):
-    """The rows {r: {c: v}} and the columns {c: {r: v}} of a matrix, in entry order."""
+    """The rows {r: {c: v}} and the columns {c: {r: v}} of a matrix, in entry order.
+
+    Every entry must be an int (a bool is not): the Smith elimination is
+    integer arithmetic, and on any other entry it would give a wrong answer
+    where it should fail, so it raises TypeError.
+    """
     rows, cols = {}, {}
     for (r, c), v in matrix.entries.items():
+        if type(v) is not int:
+            raise TypeError(f"entry ({r},{c}) of an integer elimination is {v!r}, not an int")
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, {})[r] = v
     return rows, cols
@@ -461,18 +464,14 @@ def _diagonalize(matrix: SparseMatrix, track=None, cleared=None):
 
 
 def _pivot_values(matrix: SparseMatrix) -> tuple[int, ...]:
-    """The pivot values of the matrix's Smith elimination, its columns
-    cleared of denominators first; eliminated once and kept on the matrix.
-
-    The cleared pivot columns (see `_diagonalize`: every peeled pivot and
-    every pivot of a block whose pivots were all units) are kept beside
-    them when the matrix was integral as given; a column-scaled matrix has
-    another kernel, so it records none."""
+    """The pivot values of the matrix's Smith elimination, eliminated once
+    and kept on the matrix beside its cleared pivot columns (see
+    `_diagonalize`: every peeled pivot and every pivot of a block whose
+    pivots were all units)."""
     if matrix._pivots is None:
-        integral = _integral_columns(matrix)
-        cleared = [] if integral is matrix else None
-        matrix._pivots = tuple(_diagonalize(integral, cleared=cleared)[0])
-        matrix._cleared = tuple(cleared or ())
+        cleared = []
+        matrix._pivots = tuple(_diagonalize(matrix, cleared=cleared)[0])
+        matrix._cleared = tuple(cleared)
     return matrix._pivots
 
 
@@ -676,37 +675,15 @@ class FieldColumnSpan:
         return not v
 
 
-def _integral_columns(matrix: SparseMatrix) -> SparseMatrix:
-    """The matrix with each column scaled by the lcm of its denominators.
-
-    Scaling a column by a nonzero rational leaves the rank over QQ as it is.
-    A matrix of ints is returned as it is.
-    """
-    if all(type(v) is int for v in matrix.entries.values()):
-        return matrix
-    scale = {}
-    for (_, c), v in matrix.entries.items():
-        scale[c] = lcm(scale.get(c, 1), v.denominator)
-    out = SparseMatrix(matrix.rows, matrix.cols)
-    out.entries = {(r, c): int(v * scale[c]) for (r, c), v in matrix.entries.items()}
-    return out
-
-
 def rank_over_field(matrix: SparseMatrix, fld) -> int:
-    """Exact rank over QQ or GF(p): a count of the Smith elimination's pivots.
+    """Exact rank of an integer matrix over QQ or GF(p): a count of the
+    Smith elimination's pivots.
 
-    The columns are cleared of denominators first, which keeps the rank over
-    QQ.  Unimodular U and Q bring the integer matrix to the diagonal of
-    pivot values, and both stay invertible mod p, so the rank over QQ is the
-    number of pivots and the rank over GF(p) the number that p does not
-    divide.  Over GF(p) every entry must have a value there (InvalidField
-    otherwise); then p divides no column's lcm of denominators, so clearing
-    them keeps the rank mod p too.
+    Unimodular U and Q bring the matrix to the diagonal of pivot values, and
+    both stay invertible mod p, so the rank over QQ is the number of pivots
+    and the rank over GF(p) the number that p does not divide.
     """
     p = check_field(fld).p
-    if p is not None:
-        for v in matrix.entries.values():
-            fld.of(v)
     return sum(1 for d in _pivot_values(matrix) if p is None or d % p)
 
 

@@ -115,13 +115,14 @@ def cohomology_classes(space, n, grade, fld, cx=None) -> CohomologyClassSet:
     The kernel is put in reduced column-echelon form; representatives are
     the echelon vectors that remain independent after the coboundary image
     is spanned first, in order.  cx is the grade's cochain complex through
-    degree n or beyond, if one is built already; without it one is built.
+    degree n or beyond, if one is built already (its int coboundaries serve
+    every field); without it one is built.
     """
     check_field(fld)
     grade = parse_dist(grade)
     if cx is None:
         cx = magnitude_cochain_complex(space, grade, n, fld)
-    elif (cx.grade, cx.field) != (grade, fld) or n > cx.n_max:
+    elif cx.grade != grade or n > cx.n_max:
         raise ValueError(
             f"cochain complex at ({cx.n_max}, {cx.grade}) does not serve ({n}, {grade})"
         )

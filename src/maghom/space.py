@@ -76,9 +76,13 @@ INF = _InfiniteDistance()
 
 
 def parse_dist(text):
-    """Parse a distance string: an integer, "p/q", or "inf"."""
+    """Parse a distance: an int, a Fraction, or a string holding an integer,
+    "p/q" or "inf".  A bool or a float (JSON's 0.1 is already rounded) is
+    refused."""
     if isinstance(text, _InfiniteDistance):
         return INF
+    if isinstance(text, (bool, float)):
+        raise InvalidInput(f"bad distance literal {text!r}: give an integer or a string")
     if isinstance(text, (int, Fraction)):
         value = Fraction(text)
     else:

@@ -434,12 +434,48 @@ def test_bad_distance_literal_is_a_structured_error(capsys, tmp_path):
         p.write_text(json.dumps({"points": ["a", "b"], "dist": [["0", literal], ["1", "0"]]}))
         err = _error(*run(capsys, "mh", str(p)))
         assert err == {"error": "InvalidInput", "detail": f"bad distance literal {literal!r}"}
+    # a JSON true once read as 1, a float as the fraction it rounds to, and
+    # module grades 0.5 and false as 1/2 and 0
+    refused = "bad distance literal {!r}: give an integer or a string"
+    for literal in (True, 0.1):
+        p.write_text(json.dumps({"points": ["a", "b"], "dist": [["0", literal], ["1", "0"]]}))
+        err = _error(*run(capsys, "mh", str(p)))
+        assert err == {"error": "InvalidInput", "detail": refused.format(literal)}
+    space = {"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}
+    for grade in (0.5, False):
+        p.write_text(json.dumps({"space": space, "components": {"a": [[grade, 1]]}}))
+        err = _error(*run(capsys, "validate", str(p)))
+        assert err == {"error": "InvalidInput", "detail": refused.format(grade)}
 
 
 def test_wrongly_typed_input_is_a_structured_error(capsys, tmp_path):
     p = tmp_path / "typed.json"
     p.write_text(json.dumps({"points": 5, "dist": 3}))
     assert _error(*run(capsys, "mh", str(p)))["error"] == "InvalidInput"
+    # strings once read as lists of their characters, and a space file that
+    # a "components" key makes a module file with no space
+    dist = [["0", "1"], ["1", "0"]]
+    cases = [
+        ({"points": "ab", "dist": dist}, "points must be a JSON list, not 'ab'"),
+        ({"points": ["a", "b"], "dist": ["01", "10"]}, "each dist row must be a JSON list, not '01'"),
+        ({"vertices": "ab", "arcs": []}, "vertices must be a JSON list, not 'ab'"),
+        ({"vertices": ["a", "b"], "arcs": "ab"}, "arcs must be a JSON list, not 'ab'"),
+        ({"vertices": ["a", "b"], "arcs": ["ab"]}, "each arc must be a [tail, head] list, not 'ab'"),
+        (
+            {"vertices": ["a", "b", "c"], "arcs": [["a", "b", "c"]]},
+            "each arc must be a [tail, head] list, not ['a', 'b', 'c']",
+        ),
+        (
+            {"points": ["a", "b"], "dist": dist, "components": {}},
+            'a module file needs a "space" key: a space, a digraph or a path to one',
+        ),
+    ]
+    for data, detail in cases:
+        p.write_text(json.dumps(data))
+        assert _error(*run(capsys, "mh", str(p))) == {"error": "InvalidInput", "detail": detail}
+    p.write_text(json.dumps({"vertices": ["a", "b"], "arcs": ["ab"]}))
+    err = _error(*run(capsys, "relations", str(p)))
+    assert err["detail"] == "each arc must be a [tail, head] list, not 'ab'"
 
 
 def test_unknown_format_is_rejected_before_computing(capsys, k2_file, monkeypatch):

@@ -333,7 +333,7 @@ def test_module_scan_builds_only_the_term_lists_it_reads():
     from maghom.cli import JobSpec, _resolved
 
     space = digraph_to_space(random_digraph(6, 9, 0.4))
-    job = JobSpec(4, Fraction(5), None, "json")
+    job = JobSpec(4, Fraction(5), None)
     module, res, grades = _resolved(space, random_module(space, 9), job, "left")
     read = {k: set() for k in range(1, res.n_max + 1)}
     for g in grades:
@@ -719,6 +719,13 @@ def test_one_point_space_pipelines():
         assert (h.betti, h.torsion) == ((1, ()) if n == 0 else (0, ()))
 
 
+def _reduced(mat, fld):
+    """mat with its entries reduced mod p over GF(p), in place; as it is over QQ."""
+    if isinstance(fld, PrimeField):
+        mat.entries = {k: r for k, v in mat.entries.items() if (r := v % fld.p)}
+    return mat
+
+
 def _coefficient_cochain_dims(space, module, grade, n_max, fld):
     """Independent oracle: the dual complex with module coefficients.
 
@@ -758,14 +765,9 @@ def _coefficient_cochain_dims(space, module, grade, n_max, fld):
                         key = (head, c)
                         if key in index[n]:
                             mat.add_at(row, index[n][key], (-1 if m % 2 else 1) * v)
-        if isinstance(fld, PrimeField):
-            mat = mat.reduce_mod(fld.p)
-        deltas.append(mat)
+        deltas.append(_reduced(mat, fld))
     for a, b in zip(deltas, deltas[1:]):
-        product = b.matmul(a)
-        if isinstance(fld, PrimeField):
-            product = product.reduce_mod(fld.p)
-        assert product.is_zero()
+        assert _reduced(b.matmul(a), fld).is_zero()
     dims = []
     for n in range(n_max + 1):
         down = deltas[n - 1] if n >= 1 else SparseMatrix(len(bases[0]), 0)
