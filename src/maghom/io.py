@@ -2,8 +2,9 @@
 
 Grades and distances travel as exact strings ("3/2", "2", "inf") or JSON
 integers; a float or a boolean is refused, and so is a string where a list
-is expected.  Key order in emitted JSON is sorted, so identical inputs
-produce identical bytes.
+is expected.  Point and vertex names, arc ends included, are strings.  Key
+order in emitted JSON is sorted, so identical inputs produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ def load_digraph(data) -> Digraph:
     for arc in arcs:
         if not isinstance(arc, list) or len(arc) != 2:
             raise InvalidInput(f"each arc must be a [tail, head] list, not {arc!r}")
-    return Digraph(_list(data["vertices"], "vertices"), [tuple(arc) for arc in arcs])
+        _labels(arc, "arc ends")
+    return Digraph(_labels(data["vertices"], "vertices"), [tuple(arc) for arc in arcs])
 
 
 def dump_digraph(graph: Digraph) -> dict:
@@ -40,7 +42,7 @@ def dump_digraph(graph: Digraph) -> dict:
 
 def load_space(data) -> QuasimetricSpace:
     rows = [_list(row, "each dist row") for row in _list(data["dist"], "dist")]
-    return validate_space(_list(data["points"], "points"), rows)
+    return validate_space(_labels(data["points"], "points"), rows)
 
 
 def dump_space(space: QuasimetricSpace) -> dict:
@@ -67,6 +69,8 @@ def load_module(data, base_dir: Path | None = None) -> tuple[QuasimetricSpace, D
         name, ref = ref, _read_json(path)
         if sniff_kind(ref) == "module":
             raise InvalidInput(f"referenced file {name!r} does not hold a space or digraph")
+    elif not isinstance(ref, dict):
+        raise InvalidInput(f'"space" must be a path or a JSON object, not {ref!r}')
     space = load_space(ref) if "points" in ref else digraph_to_space(load_digraph(ref))
     components = {
         space.idx(label): _by_grade(pairs, f"point {label!r}")
@@ -88,6 +92,15 @@ def _list(value, where) -> list:
     """A JSON list, or InvalidInput naming where one was expected."""
     if not isinstance(value, list):
         raise InvalidInput(f"{where} must be a JSON list, not {value!r}")
+    return value
+
+
+def _labels(value, where) -> list:
+    """A JSON list of strings: point and vertex names, which module files
+    name as JSON keys; InvalidInput naming where otherwise."""
+    for label in _list(value, where):
+        if not isinstance(label, str):
+            raise InvalidInput(f"{where} must be strings, not {label!r}")
     return value
 
 

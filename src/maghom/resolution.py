@@ -6,27 +6,30 @@ single-point deletions that preserve the total grade (a deletion that drops
 the grade contributes zero).  The right-sided version never deletes the last
 entry, the left-sided version never deletes the first.
 
-Each degree also carries a free-module decomposition: the generator for an
-(n+1)-tuple a = (x_0..x_n) is the basis tuple with the kept end doubled, and
-the differential written on generators has coefficients in the algebra; the
-differential on the tuple basis, one complex per grade, is read off it.
-The generator lengths are walked when a resolution is built, grouped by
-grade in integer units of 1/D; the one longer length that only the full
-basis of the top degree holds is walked when that basis is first read.
-Tensoring a right module against the left resolution and Hom-ing the right
-resolution into a right module then reduce to finite integer matrices,
-giving a computation of Tor and Ext independent of the chain-complex route.
-Both are one module complex: the Hom coboundaries are read as the transposed
-maps that the same builder assembles on the right resolution.  The tuples
-are unnormalized, but a run of equal points cancels to at most one term, so
-the builder writes each entry once, reading only stored actions and the int
-term lists of its bases' generators.  Every complex holds only its bases and
-maps, never the resolution, so a resolution dies with its caller.
+The differential is kept once, on the free generators: the generator for
+an (n+1)-tuple a = (x_0..x_n) is the basis tuple with the kept end doubled,
+and its terms have coefficients in the algebra.  The generator lengths are
+walked when a resolution is built, grouped by grade in integer units of
+1/D; the one longer length that only the full basis of the top degree holds
+is walked when `basis` is first read.  Tensoring a right module against the
+left resolution and Hom-ing the right resolution into a right module then
+reduce to finite integer matrices, giving a computation of Tor and Ext
+independent of the chain-complex route.  Both are one module complex: the
+Hom coboundaries are read as the transposed maps that the same builder
+assembles on the right resolution.  The exactness check reads the same
+complex for one module per side whose complex is the resolution itself
+(A tensor_A P = P), so one differential serves Tor, Ext and exactness.
+The tuples are unnormalized, but a run of equal points cancels to at most
+one term, so the builder writes each entry once, reading only stored
+actions and the int term lists of its bases' generators.  Every complex
+holds only its bases and maps, never the resolution, so a resolution dies
+with its caller.
 """
 
 from __future__ import annotations
 
 from .chain import BasedComplex, _walks
+from .distmod import DistanceModule
 from .errors import InvalidInput, ResolutionTooShort, SpaceMismatch, UnvalidatedModule
 from .linalg import HomologySummary, SparseMatrix, check_field
 from .space import INF, QuasimetricSpace, parse_dist
@@ -47,9 +50,9 @@ class BarResolution:
         self._cap = space.floor_units(self.l_max)
         # Degree n is free on the (n+1)-tuples (kept end doubled) and has the
         # (n+2)-tuples as its full basis.  The generators, lengths 0..n_max,
-        # are all that Tor and Ext read, so only they are walked here; the
-        # top length n_max+1 is walked on the first read of the full basis.
-        # Each length keeps its units -> indices groups in tuple order.
+        # are all that Tor and Ext read, so only they are walked here, each
+        # with its units -> indices groups in tuple order; the top length
+        # n_max+1 is walked on the first read of the full basis.
         lengths = [self._length(k) for k in range(n_max + 1)]
         self.gens = [tuples for tuples, _ in lengths]
         self._groups = [groups for _, groups in lengths]
@@ -67,84 +70,18 @@ class BarResolution:
             groups.setdefault(u, []).append(i)
         return [t for t, _ in pairs], groups
 
-    def _top_length(self):
-        """Degree n_max's full basis and its groups, walked once, on first use."""
-        if self._top is None:
-            self._top = self._length(self.n_max + 1)
-        return self._top
-
     @property
     def basis(self):
         """Full tuple basis per degree 0..n_max: degree n's list is the
         degree-(n+1) generator list, and the top one is walked on first read."""
-        return self.gens[1:] + [self._top_length()[0]]
+        if self._top is None:
+            top = _walks(self.space, self.n_max + 1, self._cap, normalized=False)
+            self._top = [t for t, _ in top]
+        return self.gens[1:] + [self._top]
 
     def _check_degree(self, n: int, low: int):
         if not low <= n <= self.n_max:
             raise ResolutionTooShort(f"degree {n} outside {low}..{self.n_max}")
-
-    def boundary(self, n: int) -> SparseMatrix:
-        """Differential on the full tuple basis, degree n -> n-1, built afresh."""
-        self._check_degree(n, 1)
-        return self._tuple_boundary(n, self.basis[n], self.basis[n - 1])
-
-    def _tuple_boundary(self, n: int, src, tgt) -> SparseMatrix:
-        """d_n from the degree-n basis tuples src to the degree-(n-1) ones tgt;
-        tgt must hold every face of src (a grade block holds its own).
-
-        Read off the generator terms: a left basis tuple t is the pair
-        (t[0], t[1]) times the generator t[1:], a right one the generator
-        t[:-1] times the pair (t[-2], t[-1]).  A coefficient-1 term keeps
-        the pair; a freed pair multiplies into it when betweenness holds.
-        The faces are distinct, so each entry is written once."""
-        terms = self.gen_boundary_terms(n)
-        middles = self.space.middles
-        left = self.side == "left"
-        gen_index, targets = self.gen_index[n], self.gens[n - 1]
-        row_of = {t: r for r, t in enumerate(tgt)}
-        mat = SparseMatrix(len(tgt), len(src))
-        for col, t in enumerate(src):
-            x, gen = (t[0], t[1:]) if left else (t[-1], t[:-1])
-            between = t[1] in middles[t[0]][t[2]] if left else t[-2] in middles[t[-3]][t[-1]]
-            for c in terms[gen_index[gen]]:
-                if c & 1 and not between:
-                    continue
-                face = (x,) + targets[c >> 2] if left else targets[c >> 2] + (x,)
-                mat.entries[row_of[face], col] = -1 if c & 2 else 1
-        return mat
-
-    def _basis_groups(self, n: int):
-        """units -> indices of the degree-n basis tuples of that grade."""
-        self._check_degree(n, 0)
-        return self._groups[n + 1] if n < self.n_max else self._top_length()[1]
-
-    def degree_grades(self, n: int):
-        return [self.space.grade_of(u) for u in sorted(self._basis_groups(n))]
-
-    def basis_at_grade(self, n: int, grade):
-        """Indices of degree-n basis tuples of exactly this grade (a fresh list)."""
-        units = self.space.to_units(parse_dist(grade))
-        return list(self._basis_groups(n).get(units, ()))
-
-    def complex_at(self, grade) -> BasedComplex:
-        """The resolution's tuple complex at one grade, a fresh one per call;
-        neither keeps a reference to the other.
-
-        Degree n holds the degree-n basis tuples of that grade in tuple
-        order, n = 0..n_max; deletions keep the grade, so d_n is the tuple
-        differential between consecutive degrees' lists.
-        """
-        grade = parse_dist(grade)
-        units = self.space.to_units(grade)
-        basis = self.basis
-        return BasedComplex(
-            self.n_max - 1,
-            lambda n: [basis[n][i] for i in self._basis_groups(n).get(units, ())],
-            self._tuple_boundary,
-            grade=grade,
-        )
-
-    # -- free-generator differential ---------------------------------------
 
     def gen_boundary_terms(self, n: int, which=None):
         """Differential on free generators, one term list per generator, built
@@ -200,15 +137,45 @@ def bar_resolution(space: QuasimetricSpace, side: str, n_max: int, l_max) -> Bar
     return BarResolution(space, side, n_max, l_max)
 
 
+def _exactness_module(space: QuasimetricSpace, side: str) -> DistanceModule:
+    """The module E whose complex over a `side` resolution is the
+    resolution's own tuple complex at each total grade.
+
+    Left: E(y) holds e_x at grade d(x, y) for each x reaching y (the sum of
+    the representable rows), met at a generator's head as the tuple
+    (x,) + a.  Right: E(y) holds e_z at grade -d(y, z) for each z that y
+    reaches; Hom(P, E) is the dual of the tuple complex on the a + (z,),
+    which the transposes read back.  The pair (y, w) keeps e_p where E(w)
+    holds it at the shifted grade (betweenness) and kills it elsewhere; the
+    module is valid by construction, and DistanceModule drops its zero maps."""
+    left = side == "left"
+    groups = [{} for _ in space.points]  # per point: {grade: the points p of its e_p}
+    for a, b in space.finite_pairs():
+        y, p, h = (b, a, space.d(a, b)) if left else (a, b, -space.d(a, b))
+        groups[y].setdefault(h, []).append(p)
+    actions = {}
+    for y, w in space.finite_pairs():
+        if y != w:
+            d = space.d(y, w)
+            actions[y, w] = {
+                h: [[int(p == q) for p in ps] for q in groups[w].get(h + d, ())]
+                for h, ps in groups[y].items()
+            }
+    components = {y: {h: len(ps) for h, ps in by_grade.items()} for y, by_grade in enumerate(groups)}
+    return DistanceModule(space, components, actions, validated=True)
+
+
 def resolution_homology(res: BarResolution, n: int, grade) -> HomologySummary:
-    """Homology of the underlying graded complex of the resolution.
+    """Homology of the resolution's underlying complex at one total grade,
+    read as the module complex of its exactness module (A tensor_A P = P).
 
     Must vanish in degrees 1..n_max-1 and equal the grade-0 quotient at
-    degree 0 (rank = number of points at grade 0, nothing elsewhere).
+    degree 0 (rank = number of points at grade 0, nothing elsewhere).  A
+    degree outside 0..n_max-1 or a grade above l_max (infinite included)
+    raises ResolutionTooShort.
     """
-    if not 0 <= n <= res.n_max - 1:
-        raise ResolutionTooShort(f"exactness checkable only in degrees 0..{res.n_max - 1}")
-    return res.complex_at(grade).homology(n)
+    module = _exactness_module(res.space, res.side)
+    return _module_complex(res.space, module, n, parse_dist(grade), res, res.side).homology(n)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +257,10 @@ def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
     default one on `side`, checked to lie over the space and to reach
     homological degree n; every check runs before a resolution is built.
 
-    A given resolution keeps the last complex it built, for that module
-    object and grade, so the degrees of one grade share its maps and their
-    eliminations; a default one keeps none.  The checks run on every call."""
+    A given resolution keeps the last complex it built, for that module (the
+    same object or one equal in value) and grade, so the degrees of one
+    grade share its maps and their eliminations; a default one keeps none.
+    The checks run on every call."""
     if module.space is not space and module.space != space:
         raise UnvalidatedModule("module lives over a different space")
     if not module.validated:
@@ -317,7 +285,7 @@ def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
                 f"homological degree {n} outside 0..{resolution.n_max - 1} of the resolution"
             )
         cached = resolution._module_complex
-        if cached is not None and cached[0] is module and cached[1] == grade:
+        if cached is not None and cached[1] == grade and (cached[0] is module or cached[0] == module):
             return cached[2]
         res = resolution
     cx = BasedComplex(

@@ -469,6 +469,12 @@ def test_wrongly_typed_input_is_a_structured_error(capsys, tmp_path):
             {"points": ["a", "b"], "dist": dist, "components": {}},
             'a module file needs a "space" key: a space, a digraph or a path to one',
         ),
+        ({"space": 5, "components": {}}, '"space" must be a path or a JSON object, not 5'),
+        ({"space": ["a"], "components": {}}, "\"space\" must be a path or a JSON object, not ['a']"),
+        # names that no module file's JSON keys could refer to
+        ({"points": [0, 1], "dist": dist}, "points must be strings, not 0"),
+        ({"vertices": [1, "1"], "arcs": []}, "vertices must be strings, not 1"),
+        ({"vertices": ["a", "b"], "arcs": [[["a"], "b"]]}, "arc ends must be strings, not ['a']"),
     ]
     for data, detail in cases:
         p.write_text(json.dumps(data))
@@ -476,6 +482,9 @@ def test_wrongly_typed_input_is_a_structured_error(capsys, tmp_path):
     p.write_text(json.dumps({"vertices": ["a", "b"], "arcs": ["ab"]}))
     err = _error(*run(capsys, "relations", str(p)))
     assert err["detail"] == "each arc must be a [tail, head] list, not 'ab'"
+    p.write_text(json.dumps({"vertices": [1, "1"], "arcs": []}))
+    err = _error(*run(capsys, "relations", str(p)))
+    assert err == {"error": "InvalidInput", "detail": "vertices must be strings, not 1"}
 
 
 def test_unknown_format_is_rejected_before_computing(capsys, k2_file, monkeypatch):
@@ -826,6 +835,7 @@ def test_commands_leave_no_cyclic_garbage(capsys, c3_file):
             res = bar_resolution(space, "right", 3, 3)
             assert ext_bidegree(space, trivial, 1, g, QQ, resolution=res) >= 0
         # the exactness check and the Yoneda product on a given resolution
+        assert resolution_homology(bar_resolution(space, "right", 3, 3), 1, 2).betti == 0
         res = bar_resolution(space, "left", 3, 3)
         assert resolution_homology(res, 1, 2).betti == 0
         psi, phi = cohomology_classes(space, 1, 1, QQ).representatives[:2]

@@ -1,17 +1,26 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maghom.chain import magnitude_complex, magnitude_complex_with_coefficients
-from maghom.distmod import direct_sum, representable_module, shift_module, trivial_module
+from maghom.distmod import (
+    direct_sum,
+    representable_module,
+    shift_module,
+    trivial_module,
+    validate_module,
+)
 from maghom.errors import ResolutionTooShort, SpaceMismatch, UnvalidatedModule
 from maghom.gen import random_digraph, random_module, random_space
 from maghom.instances import c3, k2, x2
 from maghom.linalg import QQ, PrimeField
 from maghom.resolution import (
     _components,
+    _exactness_module,
+    _module_complex,
     _module_matrix,
     bar_resolution,
     ext_bidegree,
@@ -60,21 +69,6 @@ def test_walk_lists_match_exhaustive_oracle():
                 got = [(t, walk_grade(space, t)) for t in tuples[n]]
                 assert got == expected, (res.side, n, arity)
             assert res.gen_index[n] == {t: k for k, t in enumerate(res.gens[n])}
-
-
-def test_grade_lookups_match_full_scans():
-    for space, res in _walk_list_cases():
-        # top degree first, so the lookups walk the top length before any
-        # read of the full basis does
-        for n in reversed(range(res.n_max + 1)):
-            full = exhaustive_tuples_up_to(space, n + 1, res.l_max, normalized=False)
-            grades = [h for _, h in full]
-            assert res.degree_grades(n) == sorted(set(grades))
-            for g in res.degree_grades(n) + [Fraction(1, 3), Fraction(-1), INF]:
-                expected = [k for k, h in enumerate(grades) if h == g]
-                assert res.basis_at_grade(n, g) == expected, (n, g)
-                assert res.complex_at(g).basis(n) == [full[k][0] for k in expected], (n, g)
-            assert res.basis_at_grade(n, Fraction(1, 3)) == []
 
 
 def test_edge_grades_match_fraction_oracles():
@@ -126,37 +120,24 @@ def test_edge_grades_match_fraction_oracles():
                 assert ext_bidegree(space, module, n, g, QQ, resolution=right) == dual[n]
 
 
-def test_grade_lookups_return_fresh_lists():
-    res = bar_resolution(c3(), "left", 2, 2)
-    before = [res.basis_at_grade(n, g) for n in range(3) for g in res.degree_grades(n)]
-    for n in range(3):
-        for g in res.degree_grades(n):
-            res.basis_at_grade(n, g).append(-1)
-            res.degree_grades(n).clear()
-            res.basis_at_grade(n, Fraction(1, 3)).append(-1)
-    assert [res.basis_at_grade(n, g) for n in range(3) for g in res.degree_grades(n)] == before
-    assert res.basis_at_grade(1, Fraction(1, 3)) == []
-
-
 def test_degrees_outside_the_resolution_are_rejected():
     space = c3()
     module = trivial_module(space, 0, 1)
     left = bar_resolution(space, "left", 2, 2)
     right = bar_resolution(space, "right", 2, 2)
-    for n in (-1, 3):
-        with pytest.raises(ResolutionTooShort):
-            left.basis_at_grade(n, 0)
-        with pytest.raises(ResolutionTooShort):
-            left.degree_grades(n)
     for n in (0, 3):
-        with pytest.raises(ResolutionTooShort):
-            left.boundary(n)
+        for res in (left, right):
+            with pytest.raises(ResolutionTooShort):
+                res.gen_boundary_terms(n)
     # homological degree n reads resolution degrees n and n + 1
     for n in (-1, 2):
         with pytest.raises(ResolutionTooShort):
             tor_bidegree(space, module, n, 0, resolution=left)
         with pytest.raises(ResolutionTooShort):
             ext_bidegree(space, module, n, 0, QQ, resolution=right)
+        for res in (left, right):
+            with pytest.raises(ResolutionTooShort):
+                resolution_homology(res, n, 0)
     with pytest.raises(ResolutionTooShort):
         tor_bidegree(space, module, -1, 0)
 
@@ -210,35 +191,72 @@ def test_each_arity_is_enumerated_once(monkeypatch):
         top = res.basis[3]
         assert arities == [0, 1, 2, 3, 4]
         assert res.basis[3] is top
-        assert res.complex_at(2).basis(3) and res.degree_grades(3) and res.basis_at_grade(3, 2)
-        res.boundary(3)
+        res.gen_boundary_terms(3)
         assert arities == [0, 1, 2, 3, 4]
         # the degree-n basis and the degree-(n+1) generators are one list
         for n in range(res.n_max):
             assert res.basis[n] is res.gens[n + 1]
 
 
+def _tuple_of(res, k, entry):
+    """The degree-k basis tuple of an exactness-module basis entry
+    (gi, h, j): the generator with its j-th end point at grade h doubled,
+    x with d(x, a[0]) = h before a left one, z with d(a[-1], z) = -h after
+    a right one."""
+    gi, h, j = entry
+    a, points = res.gens[k][gi], range(len(res.space))
+    if res.side == "left":
+        return (tuple(x for x in points if res.space.d(x, a[0]) == h)[j],) + a
+    return a + (tuple(z for z in points if res.space.d(a[-1], z) == -h)[j],)
+
+
+def _tuple_complexes(res):
+    """(grade, complex, tuples) for every grade the resolution's full basis
+    holds: the exactness module's complex at that grade, which is what
+    resolution_homology reads, with its bases read as tuples."""
+    grades = sorted({walk_grade(res.space, t) for basis in res.basis for t in basis})
+    module = _exactness_module(res.space, res.side)
+    for g in grades:
+        cx = _module_complex(res.space, module, 0, g, res, res.side)
+        yield g, cx, [[_tuple_of(res, k, e) for e in cx.basis(k)] for k in range(res.n_max + 1)]
+
+
 def test_boundaries_square_to_zero(suite):
     for _, space in suite[:6]:
         for side in ("left", "right"):
             res = bar_resolution(space, side, 3, 3)
-            for n in range(2, 4):
-                assert res.boundary(n - 1).matmul(res.boundary(n)).is_zero()
+            for g, cx, _ in _tuple_complexes(res):
+                for n in range(2, 4):
+                    assert cx.boundary(n - 1).matmul(cx.boundary(n)).is_zero(), (side, g, n)
 
 
 def test_tuple_differential_matches_positional_deletions():
-    # the differential is read off the generator terms; the oracle deletes
-    # tuple positions directly.  19 and 37 have unreachable pairs, 37 also
-    # half-unit distances
+    # Tor and Ext's module matrices, read on the exactness module, against
+    # the definition's positional deletions on the whole tuple basis: the
+    # grades together hold every basis tuple once and every entry with its
+    # sign.  19 and 37 have unreachable pairs, 37 also half-unit distances
     from maghom.gen import random_space
 
     for space in (c3(), x2(), random_space(3, 19), random_space(4, 37)):
         for side in ("left", "right"):
             res = bar_resolution(space, side, 3, 3)
+            basis = res.basis
+            seen = [[] for _ in basis]
+            got = [{} for _ in basis]
+            for _, cx, tuples in _tuple_complexes(res):
+                for n in range(1, 4):
+                    for (r, c), v in cx.boundary(n).entries.items():
+                        got[n][tuples[n - 1][r], tuples[n][c]] = v
+                for n in range(4):
+                    seen[n] += tuples[n]
+            for n in range(4):
+                assert sorted(seen[n]) == basis[n], (side, n)
             for n in range(1, 4):
-                mat = res.boundary(n)
-                assert (mat.rows, mat.cols) == (len(res.basis[n - 1]), len(res.basis[n]))
-                assert mat.entries == positional_bar_boundary(res, n), (side, n)
+                want = {
+                    (basis[n - 1][r], basis[n][c]): v
+                    for (r, c), v in positional_bar_boundary(res, n).items()
+                }
+                assert got[n] == want, (side, n)
 
 
 def _runs(a):
@@ -377,58 +395,14 @@ def test_one_bidegree_lists_each_degree_once(monkeypatch):
     assert sorted(degrees) == [0, 1, 2, 3]
 
 
-def test_a_grade_complex_outlives_its_resolution():
-    import weakref
-
-    res = bar_resolution(c3(), "left", 3, 1)
-    alive = weakref.ref(res)
-    cx = res.complex_at(0)
-    del res
-    assert alive() is None
-    fresh = bar_resolution(c3(), "left", 3, 1)
-    assert [cx.homology(n) for n in range(3)] == [resolution_homology(fresh, n, 0) for n in range(3)]
-    assert cx.homology(0).betti == 3
-
-
 def test_differential_preserves_grade():
-    res = bar_resolution(c3(), "left", 3, 3)
-    for n in (1, 2, 3):
-        mat = res.boundary(n)
-        for (r, c), _ in mat.entries.items():
-            assert walk_grade(res.space, res.basis[n - 1][r]) == walk_grade(res.space, res.basis[n][c])
-
-
-def test_grade_blocks_cover_full_matrix():
-    from maghom.gen import random_space
-
-    # random_space(4, 37) has half-unit distances and unreachable pairs
-    for space in (c3(), random_space(4, 37)):
-        for side in ("left", "right"):
-            res = bar_resolution(space, side, 3, 2)
-            for n in range(1, 4):
-                full = res.boundary(n)
-                total = 0
-                for g in res.degree_grades(n):
-                    cx = res.complex_at(g)
-                    cols, rows = res.basis_at_grade(n, g), res.basis_at_grade(n - 1, g)
-                    assert cx.basis(n) == [res.basis[n][c] for c in cols]
-                    assert cx.basis(n - 1) == [res.basis[n - 1][r] for r in rows]
-                    # the block is the full matrix restricted to the grade's rows and columns
-                    expected = {
-                        (i, j): full[(r, c)]
-                        for i, r in enumerate(rows)
-                        for j, c in enumerate(cols)
-                        if full[(r, c)]
-                    }
-                    block = cx.boundary(n)
-                    assert (block.rows, block.cols) == (len(rows), len(cols))
-                    assert block.entries == expected, (side, n, g)
-                    total += block.nnz()
-                assert total == full.nnz()
-    # one grade, whatever form it is given in, has one basis
-    for n in range(3):
-        assert res.complex_at(1).basis(n) == res.complex_at("1").basis(n)
-        assert res.complex_at("1").basis(n) == res.complex_at(Fraction(1)).basis(n)
+    for side in ("left", "right"):
+        res = bar_resolution(c3(), side, 3, 3)
+        for g, cx, tuples in _tuple_complexes(res):
+            for n in (1, 2, 3):
+                for r, c in cx.boundary(n).entries:
+                    assert walk_grade(res.space, tuples[n - 1][r]) == g
+                    assert walk_grade(res.space, tuples[n][c]) == g
 
 
 def test_free_decomposition_dimension_count():
@@ -436,9 +410,9 @@ def test_free_decomposition_dimension_count():
     space = x2()
     res = bar_resolution(space, "left", 2, 2)
     n_pts = len(space)
-    for n in range(3):
-        for g in res.degree_grades(n):
-            direct = len(res.basis_at_grade(n, g))
+    for g, cx, _ in _tuple_complexes(res):
+        for n in range(3):
+            direct = sum(1 for t in res.basis[n] if walk_grade(space, t) == g)
             total = 0
             for a in res.gens[n]:
                 shift = walk_grade(space, a)
@@ -449,7 +423,7 @@ def test_free_decomposition_dimension_count():
                     for y in range(n_pts)
                     if space.d(y, head) is not INF and space.d(y, head) == g - shift
                 )
-            assert direct == total, (n, g)
+            assert cx.dim(n) == direct == total, (n, g)
 
 
 def test_exactness_middle_degrees_c3():
@@ -469,6 +443,70 @@ def test_exactness_right_side_k2():
             assert h0.is_zero()
         for n in (1, 2, 3):
             assert resolution_homology(res, n, g).is_zero()
+
+
+@st.composite
+def small_spaces(draw):
+    """A space of 1..5 points: a random digraph, or distances drawn from
+    1/2, 1, 3/2, 2 and infinity and closed under min-plus."""
+    points, seed = draw(st.integers(1, 5)), draw(st.integers(0, 99))
+    if draw(st.booleans()):
+        return digraph_to_space(random_digraph(points, seed, 0.4))
+    return random_space(points, seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(space=small_spaces())
+def test_exactness_modules_are_valid_and_left_is_the_regular_module(space):
+    for side in ("left", "right"):
+        module = _exactness_module(space, side)
+        module.validated = False
+        assert validate_module(space, module) == [], side
+    regular = reduce(direct_sum, (representable_module(space, x) for x in space.points))
+    assert _exactness_module(space, "left") == regular
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(space=small_spaces(), side=st.sampled_from(("left", "right")))
+def test_resolution_is_exact_on_random_spaces(space, side):
+    # criterion 10's assertions, off the standard suite: half-unit and
+    # infinite distances, and digraphs with unreachable pairs
+    res = bar_resolution(space, side, 3, 2)
+    for g in attainable_grades(space, 2):
+        h0 = resolution_homology(res, 0, g)
+        assert (h0.betti, h0.torsion) == ((len(space), ()) if g == 0 else (0, ())), g
+        for n in (1, 2):
+            assert resolution_homology(res, n, g).is_zero(), (n, g)
+
+
+def test_exactness_scan_assembles_each_map_once(monkeypatch):
+    import maghom.resolution as resolution
+
+    degrees = []
+    matrix = resolution._module_matrix
+
+    def counted(res, module, k, src, tgt):
+        degrees.append(k)
+        return matrix(res, module, k, src, tgt)
+
+    monkeypatch.setattr(resolution, "_module_matrix", counted)
+    for side in ("left", "right"):
+        res = bar_resolution(c3(), side, 4, 2)
+        for g in (0, 1, 2):
+            degrees.clear()
+            for n in range(res.n_max):
+                resolution_homology(res, n, g)
+            # each call builds its own module; an equal one reuses the complex
+            assert degrees == [1, 2, 3, 4], (side, g)
+
+
+def test_grades_outside_the_truncation_are_refused():
+    for side in ("left", "right"):
+        res = bar_resolution(c3(), side, 3, 2)
+        assert resolution_homology(res, 1, 2).is_zero()
+        for g in (7, Fraction(5, 2), INF, "inf"):
+            with pytest.raises(ResolutionTooShort, match="l_max"):
+                resolution_homology(res, 1, g)
 
 
 def test_tor_k2_examples():
