@@ -13,7 +13,6 @@ from .space import (
     attainable_grades,
     between,
     digraph_to_space,
-    min_positive_distance,
     opposite_space,
     validate_space,
 )

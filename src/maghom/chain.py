@@ -116,9 +116,6 @@ class BasedComplex:
     def dim(self, n: int) -> int:
         return len(self.basis(n))
 
-    def top_degree(self) -> int:
-        return self.n_max + 1
-
     def boundary(self, n: int) -> SparseMatrix:
         if 0 <= n <= self.n_max + 1:
             return self.maps[n]

@@ -29,10 +29,6 @@ class UnknownPoint(MagnitudeError):
     pass
 
 
-class NoFiniteDistance(MagnitudeError):
-    pass
-
-
 class InvalidField(MagnitudeError):
     pass
 

@@ -67,7 +67,7 @@ def load_module(data, base_dir: Path | None = None) -> tuple[QuasimetricSpace, D
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         name, ref = ref, _read_json(path)
-        if sniff_kind(ref) == "module":
+        if sniff_kind(ref, path) == "module":
             raise InvalidInput(f"referenced file {name!r} does not hold a space or digraph")
     elif not isinstance(ref, dict):
         raise InvalidInput(f'"space" must be a path or a JSON object, not {ref!r}')
@@ -148,7 +148,10 @@ def dump_module(module: DistanceModule) -> dict:
     }
 
 
-def sniff_kind(data) -> str:
+def sniff_kind(data, path) -> str:
+    """The kind of the JSON value read from `path`, from its keys."""
+    if not isinstance(data, dict):
+        raise InvalidInput(f"the top-level JSON of {path} must be an object")
     if "vertices" in data:
         return "digraph"
     if "components" in data or "actions" in data:
@@ -176,7 +179,7 @@ def load_input(path):
     path = Path(path)
     data = _read_json(path)
     try:
-        kind = sniff_kind(data)
+        kind = sniff_kind(data, path)
         if kind == "digraph":
             graph = load_digraph(data)
             return "digraph", digraph_to_space(graph), graph

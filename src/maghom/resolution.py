@@ -60,6 +60,7 @@ class BarResolution:
         self.gen_index = [{t: i for i, t in enumerate(ts)} for ts in self.gens]
         self._gen_terms = [[None] * len(ts) for ts in self.gens]
         self._module_complex = None  # (module, grade, complex) of the last query
+        self._exactness = None  # the exactness module, built by the first check
 
     def _length(self, k: int):
         """The (k+1)-tuples of grade <= l_max in lexicographic order, and
@@ -172,10 +173,12 @@ def resolution_homology(res: BarResolution, n: int, grade) -> HomologySummary:
     Must vanish in degrees 1..n_max-1 and equal the grade-0 quotient at
     degree 0 (rank = number of points at grade 0, nothing elsewhere).  A
     degree outside 0..n_max-1 or a grade above l_max (infinite included)
-    raises ResolutionTooShort.
+    raises ResolutionTooShort.  The module is built once per resolution, so
+    the degrees of one grade share its cached complex.
     """
-    module = _exactness_module(res.space, res.side)
-    return _module_complex(res.space, module, n, parse_dist(grade), res, res.side).homology(n)
+    if res._exactness is None:
+        res._exactness = _exactness_module(res.space, res.side)
+    return _module_complex(res.space, res._exactness, n, parse_dist(grade), res, res.side).homology(n)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +260,9 @@ def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
     default one on `side`, checked to lie over the space and to reach
     homological degree n; every check runs before a resolution is built.
 
-    A given resolution keeps the last complex it built, for that module (the
-    same object or one equal in value) and grade, so the degrees of one
-    grade share its maps and their eliminations; a default one keeps none.
+    A given resolution keeps the last complex it built, for that module
+    object and grade, so the degrees of one grade share its maps and their
+    eliminations; a default one keeps none.
     The checks run on every call."""
     if module.space is not space and module.space != space:
         raise UnvalidatedModule("module lives over a different space")
@@ -285,7 +288,7 @@ def _module_complex(space, module, n, grade, resolution, side) -> BasedComplex:
                 f"homological degree {n} outside 0..{resolution.n_max - 1} of the resolution"
             )
         cached = resolution._module_complex
-        if cached is not None and cached[1] == grade and (cached[0] is module or cached[0] == module):
+        if cached is not None and cached[0] is module and cached[1] == grade:
             return cached[2]
         res = resolution
     cx = BasedComplex(

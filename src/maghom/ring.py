@@ -60,15 +60,6 @@ class Cochain:
     def is_zero(self):
         return not self.coeffs
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.space == other.space
-            and (self.n, self.grade) == (other.n, other.grade)
-            and self.fld == other.fld
-            and self.coeffs == other.coeffs
-        )
-
     def __repr__(self):
         labels = {
             tuple(self.space.points[i] for i in t): v for t, v in sorted(self.coeffs.items())

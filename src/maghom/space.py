@@ -23,7 +23,6 @@ from math import floor, lcm
 from .errors import (
     InvalidInput,
     InvalidSpaceError,
-    NoFiniteDistance,
     NonzeroDiagonal,
     TriangleViolation,
     UnknownPoint,
@@ -338,29 +337,18 @@ def opposite_space(space: QuasimetricSpace) -> QuasimetricSpace:
     return validate_space(space.points, transposed)
 
 
-def min_positive_distance(space: QuasimetricSpace):
-    """Smallest finite off-diagonal distance; bounds tuple lengths per grade."""
-    best = None
-    n = len(space)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                d = space.dist[i][j]
-                if d is not INF and (best is None or d < best):
-                    best = d
-    if best is None:
-        raise NoFiniteDistance("no finite off-diagonal distance")
-    return best
-
-
 def attainable_grades(space: QuasimetricSpace, l_max) -> list[Fraction]:
     """All grades of tuples with consecutive finite distances, up to l_max.
 
     Computed by dynamic programming on (point, accumulated grade) states, so
-    only sums realized by actual walks are reported.  Always contains 0.
+    only sums realized by actual walks are reported.  Always contains 0.  An
+    infinite l_max raises InvalidInput: a directed cycle walks to every
+    multiple of its length.
     """
     l_max = parse_dist(l_max)
-    cap = None if l_max is INF else space.floor_units(l_max)
+    if l_max is INF:
+        raise InvalidInput("l_max must be finite")
+    cap = space.floor_units(l_max)
     steps = space.walk_steps(distinct=True)[0]
     reached = [{0} for _ in steps]
     frontier = [(i, 0) for i in range(len(steps))]
@@ -369,7 +357,7 @@ def attainable_grades(space: QuasimetricSpace, l_max) -> list[Fraction]:
         for i, g in frontier:
             for j, d in steps[i]:
                 g2 = g + d
-                if (cap is None or g2 <= cap) and g2 not in reached[j]:
+                if g2 <= cap and g2 not in reached[j]:
                     reached[j].add(g2)
                     new_frontier.append((j, g2))
         frontier = new_frontier

@@ -224,6 +224,30 @@ def test_tor_and_ext_tables(capsys, k2_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("seed", [3, 7])
+def test_field_homology_equals_field_ext(capsys, tmp_path, seed):
+    # over a field, dim MH_{n,l} = dim Ext^{n,l}(S, S) by duality: the chain
+    # complex's field ranks against the right bar resolution's module complex
+    code, out = run(capsys, "gen", "--seed", str(seed))
+    assert code == 0
+    path = tmp_path / "sp.json"
+    path.write_text(out)
+    bounds = ("--nmax", "3", "--lmax", "3", "--format", "csv")
+    tables = {}
+    for fld in ("Q", "Fp:2"):
+        code, tables[fld] = run(capsys, "mh", str(path), *bounds, "--field", fld)
+        assert code == 0
+        code, ext = run(capsys, "ext", str(path), *bounds, "--field", fld)
+        assert code == 0
+        assert tables[fld] == ext, fld
+    code, out = run(capsys, "mh", str(path), *bounds)
+    assert code == 0
+    betti = [(r["n"], r["l"], r["betti"]) for r in csv.DictReader(io.StringIO(out))]
+    dims = [(r["n"], r["l"], r["dim"]) for r in csv.DictReader(io.StringIO(tables["Q"]))]
+    assert betti == dims
+    assert any(d != "0" for _, _, d in dims)
+
+
 def test_mh_with_coefficients(capsys, tmp_path, c3_file):
     module = {
         "space": "c3.json",
@@ -579,6 +603,23 @@ def test_unknown_input_shape_is_invalid_input(capsys, tmp_path):
     p.write_text(json.dumps({"points": ["a"], "comp0nents": {"a": [["0", 1]]}}))
     err = _error(*run(capsys, "validate", str(p)))
     assert err == {"error": "InvalidInput", "detail": "cannot determine input kind from JSON keys"}
+    # a top-level value that is not an object has no keys: a number, a
+    # string that a substring test would read as a digraph, a list, and a
+    # module's referenced space
+    (tmp_path / "five.json").write_text("5")
+    files = {}
+    for name, value in [("number", 5), ("string", "vertices"), ("list", [1, 2])]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(value))
+    files["referenced"] = tmp_path / "module.json"
+    files["referenced"].write_text(json.dumps({"space": "five.json", "components": {}}))
+    for name, path in files.items():
+        held = tmp_path / "five.json" if name == "referenced" else path
+        err = _error(*run(capsys, "mh", str(path)))
+        assert err == {
+            "error": "InvalidInput",
+            "detail": f"the top-level JSON of {held} must be an object",
+        }, name
 
 
 def test_negative_module_rank_is_invalid_input(capsys, tmp_path):

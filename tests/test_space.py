@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from maghom.algebra import DistanceAlgebra
 
 from maghom.errors import (
-    NoFiniteDistance,
     NonzeroDiagonal,
     TriangleViolation,
     UnknownPoint,
@@ -24,7 +23,6 @@ from maghom.space import (
     between,
     digraph_to_space,
     format_dist,
-    min_positive_distance,
     opposite_space,
     parse_dist,
     validate_space,
@@ -141,18 +139,6 @@ def test_opposite_reverses_betweenness():
                     assert between(s, x, y, z) == between(op, z, y, x)
 
 
-def test_min_positive_distance():
-    assert min_positive_distance(k2()) == 1
-    s = validate_space(
-        ["a", "b", "c"],
-        [[0, "1/2", 3], ["1/2", 0, 3], [3, 3, 0]],
-    )
-    assert min_positive_distance(s) == Fraction(1, 2)
-    empty = validate_space(["a", "b"], [[0, "inf"], ["inf", 0]])
-    with pytest.raises(NoFiniteDistance):
-        min_positive_distance(empty)
-
-
 def test_random_spaces_satisfy_axioms_post_hoc():
     for seed in range(25):
         s = random_space(4, seed)
@@ -183,6 +169,20 @@ def test_attainable_grades_follow_walks():
     rng = random.Random(3)
     grid = attainable_grades(random_space(4, rng.randrange(100)), 2)
     assert grid[0] == 0 and all(g <= 2 for g in grid)
+
+
+def test_an_infinite_grade_cap_is_refused():
+    # a directed cycle walks to every multiple of its length: uncapped, the
+    # grade scan never ends
+    from maghom.errors import InvalidInput
+    from maghom.linalg import QQ
+    from maghom.ring import ring_table
+
+    for l_max in ("inf", INF):
+        with pytest.raises(InvalidInput, match="l_max must be finite"):
+            attainable_grades(c3(), l_max)
+        with pytest.raises(InvalidInput, match="l_max must be finite"):
+            ring_table(c3(), 2, l_max, QQ)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
