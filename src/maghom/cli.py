@@ -4,6 +4,9 @@ Every command reads one JSON input (digraph, space, or module; the kind is
 inferred from the keys), scans the attainable grades up to --lmax (with a
 module, every grade up to --lmax that its component grades shift them to),
 and emits a deterministic report as json, csv, or an aligned text table.
+A module names its space, so coefficients come from passing the module
+itself.  `--field Z` is the integers, the default of every command but
+`ext` and `ring`, which default to Q.
 Validation failures exit nonzero with a machine-readable error object;
 `crosscheck` exits nonzero when the two pipelines disagree anywhere.
 """
@@ -14,13 +17,12 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import io as mio
 from .chain import magnitude_complex, magnitude_complex_with_coefficients
 from .distmod import coinvariants, invariants, trivial_module, validate_module
-from .errors import InvalidField, InvalidInput, MagnitudeError, SpaceMismatch, UnsupportedFormat
+from .errors import InvalidField, InvalidInput, MagnitudeError, UnsupportedFormat
 from .gen import random_space
 from .linalg import QQ, PrimeField
 from .quiver import quiver_relations
@@ -29,32 +31,14 @@ from .ring import ring_table
 from .space import INF, attainable_grades, format_dist, parse_dist
 
 
-@dataclass
-class JobSpec:
-    """One parsed invocation: bounds and field."""
-
-    n_max: int
-    l_max: Fraction
-    field: object  # None for integers, else a field object
-
-    def __post_init__(self):
-        if self.n_max < 0:
-            raise InvalidInput("nmax must be nonnegative")
-        if self.l_max < 0:
-            raise InvalidInput("lmax must be nonnegative")
-        if self.l_max is INF:
-            raise InvalidInput("lmax must be finite")
-
-
-INTEGERS = "Z"
 FORMATS = ("json", "csv", "table")
 
 
 def parse_field_flag(text: str):
-    """Z (integers), Q (rationals), or Fp:P (prime field)."""
+    """None for Z (the integers), QQ for Q, a PrimeField for Fp:P."""
     t = text.strip()
     if t == "Z":
-        return INTEGERS
+        return None
     if t == "Q":
         return QQ
     if t.startswith("Fp:"):
@@ -67,7 +51,7 @@ def parse_field_flag(text: str):
 
 
 def field_name(fld) -> str:
-    if fld is None or fld is INTEGERS:
+    if fld is None:
         return "Z"
     if isinstance(fld, PrimeField):
         return f"Fp:{fld.p}"
@@ -141,30 +125,29 @@ def _grades(space, l_max, shifts):
     return sorted({g + s for g in tuple_grades for s in shifts if g + s <= l_max})
 
 
-def _resolved(space, module, job, side):
+def _resolved(space, module, n_max, l_max, side):
     """The module (trivial of rank 1 at grade 0 when none is given), a bar
     resolution on `side` deep enough for the scan, and the grades to scan:
     Tor meets M in grade l - g, Ext in grade g - l."""
     mod = module if module is not None else trivial_module(space, 0, 1)
     shifts = _shifts(module, 1 if side == "left" else -1)
-    res = bar_resolution(space, side, job.n_max + 1, _tuple_cap(job.l_max, shifts))
-    return mod, res, _grades(space, job.l_max, shifts)
+    res = bar_resolution(space, side, n_max + 1, _tuple_cap(l_max, shifts))
+    return mod, res, _grades(space, l_max, shifts)
 
 
-def cmd_validate(space, module, job):
-    if module is not None:
-        problems = validate_module(space, module)
-        if problems:
-            return 1, {
-                "kind": "validate",
-                "status": "invalid",
-                "columns": ["violation", "witness", "detail"],
-                "rows": [
-                    {"violation": v.kind, "witness": v.witness_text(), "detail": v.detail}
-                    for v in problems
-                ],
-            }
-    # spaces are fully validated at load time
+def cmd_validate(args, space, module, graph):
+    # spaces are fully validated at load time; main leaves a module to this check
+    problems = [] if module is None else validate_module(space, module)
+    if problems:
+        return 1, {
+            "kind": "validate",
+            "status": "invalid",
+            "columns": ["violation", "witness", "detail"],
+            "rows": [
+                {"violation": v.kind, "witness": v.witness_text(), "detail": v.detail}
+                for v in problems
+            ],
+        }
     return 0, {
         "kind": "validate",
         "status": "ok",
@@ -188,32 +171,31 @@ def _chain_rows(space, module, n_max, l_max, fld):
     return rows
 
 
-def _tor_rows(space, module, job):
-    mod, res, grades = _resolved(space, module, job, "left")
+def _tor_rows(space, module, n_max, l_max):
+    mod, res, grades = _resolved(space, module, n_max, l_max, "left")
     rows = []
     for g in grades:
-        for n in range(job.n_max + 1):
+        for n in range(n_max + 1):
             h = tor_bidegree(space, mod, n, g, resolution=res)
             rows.append({"n": n, "l": format_dist(g), **_cells(h)})
     return rows
 
 
-def cmd_mh(space, module, job):
-    fld = None if job.field is INTEGERS else job.field
-    rows = _chain_rows(space, module, job.n_max, job.l_max, fld)
-    columns = ["n", "l", "betti", "torsion"] if fld is None else ["n", "l", "dim"]
+def cmd_mh(args, space, module, graph):
+    rows = _chain_rows(space, module, args.nmax, args.lmax, args.field)
+    columns = ["n", "l", "betti", "torsion"] if args.field is None else ["n", "l", "dim"]
     return 0, {
         "kind": "mh",
-        "field": field_name(fld),
+        "field": field_name(args.field),
         "columns": columns,
         "rows": rows,
     }
 
 
-def cmd_tor(space, module, job):
-    if job.field not in (None, INTEGERS):
+def cmd_tor(args, space, module, graph):
+    if args.field is not None:
         raise InvalidField("tor reports integral betti and torsion; use --field Z")
-    rows = _tor_rows(space, module, job)
+    rows = _tor_rows(space, module, args.nmax, args.lmax)
     return 0, {
         "kind": "tor",
         "field": "Z",
@@ -222,31 +204,30 @@ def cmd_tor(space, module, job):
     }
 
 
-def cmd_ext(space, module, job):
-    if job.field is INTEGERS:
+def cmd_ext(args, space, module, graph):
+    if args.field is None:
         raise InvalidField("ext is computed over a field; use --field Q or Fp:P")
-    fld = job.field if job.field is not None else QQ
-    mod, res, grades = _resolved(space, module, job, "right")
+    mod, res, grades = _resolved(space, module, args.nmax, args.lmax, "right")
     rows = []
     for g in grades:
-        for n in range(job.n_max + 1):
-            d = ext_bidegree(space, mod, n, g, fld, resolution=res)
+        for n in range(args.nmax + 1):
+            d = ext_bidegree(space, mod, n, g, args.field, resolution=res)
             rows.append({"n": n, "l": format_dist(g), "dim": d})
     return 0, {
         "kind": "ext",
-        "field": field_name(fld),
+        "field": field_name(args.field),
         "columns": ["n", "l", "dim"],
         "rows": rows,
     }
 
 
-def cmd_crosscheck(space, module, job):
-    if job.field not in (None, INTEGERS):
+def cmd_crosscheck(args, space, module, graph):
+    if args.field is not None:
         raise InvalidField("crosscheck compares integral betti and torsion; use --field Z")
-    chain_rows = _chain_rows(space, module, job.n_max, job.l_max, None)
+    chain_rows = _chain_rows(space, module, args.nmax, args.lmax, None)
     rows = []
     mismatches = 0
-    for chain, tor in zip(chain_rows, _tor_rows(space, module, job), strict=True):
+    for chain, tor in zip(chain_rows, _tor_rows(space, module, args.nmax, args.lmax), strict=True):
         assert (chain["n"], chain["l"]) == (tor["n"], tor["l"])
         match = (chain["betti"], chain["torsion"]) == (tor["betti"], tor["torsion"])
         mismatches += 0 if match else 1
@@ -284,12 +265,11 @@ def _no_module(module, command):
         raise InvalidInput(f"{command} takes no module; pass the space or digraph alone")
 
 
-def cmd_ring(space, module, job):
+def cmd_ring(args, space, module, graph):
     _no_module(module, "ring")
-    if job.field is INTEGERS:
+    if args.field is None:
         raise InvalidField("ring products are computed over a field; use --field Q or Fp:P")
-    fld = job.field if job.field is not None else QQ
-    table = ring_table(space, job.n_max, job.l_max, fld)
+    table = ring_table(space, args.nmax, args.lmax, args.field)
     data = mio.ring_table_json(table)
     rows = [
         {
@@ -301,7 +281,7 @@ def cmd_ring(space, module, job):
     ]
     return 0, {
         "kind": "ring",
-        "field": field_name(fld),
+        "field": field_name(args.field),
         "classes": data["classes"],
         "products": data["products"],
         "columns": ["lhs", "rhs", "result"],
@@ -309,7 +289,7 @@ def cmd_ring(space, module, job):
     }
 
 
-def cmd_relations(space, module, job, graph=None):
+def cmd_relations(args, space, module, graph):
     _no_module(module, "relations")
     if graph is None:
         raise InvalidInput("relations needs a digraph input")
@@ -326,16 +306,14 @@ def cmd_relations(space, module, job, graph=None):
     }
 
 
-def cmd_inv(space, module, job):
+def cmd_inv(args, space, module, graph):
     if module is None:
         raise InvalidInput("inv needs a module input")
-    rows = [
-        {"grade": format_dist(b.grade), "rank": b.rank} for b in invariants(module)
-    ]
+    rows = [{"grade": format_dist(b.grade), "rank": b.rank} for b in invariants(module)]
     return 0, {"kind": "inv", "columns": ["grade", "rank"], "rows": rows}
 
 
-def cmd_coinv(space, module, job):
+def cmd_coinv(args, space, module, graph):
     if module is None:
         raise InvalidInput("coinv needs a module input")
     rows = [{"grade": format_dist(b.grade), **_cells(b)} for b in coinvariants(module)]
@@ -376,9 +354,9 @@ def build_parser():
         p.add_argument("input", help="JSON file: digraph, space, or module")
         p.add_argument("--nmax", type=int, default=3)
         p.add_argument("--lmax", type=parse_dist, default=Fraction(3))
-        p.add_argument("--field", type=parse_field_flag, default=None, help="Z, Q, or Fp:P")
+        default = QQ if name in ("ext", "ring") else None
+        p.add_argument("--field", type=parse_field_flag, default=default, help="Z, Q, or Fp:P")
         p.add_argument("--format", dest="fmt", default="table", help="json, csv, or table")
-        p.add_argument("--coefficients", default=None, help="module JSON for coefficients")
 
     gen = sub.add_parser("gen", help="emit a seeded random space")
     gen.add_argument("--seed", type=int, default=0)
@@ -400,22 +378,18 @@ def main(argv=None) -> int:
         kind, space, extra = mio.load_input(args.input)
         graph = extra if kind == "digraph" else None
         module = extra if kind == "module" else None
-        if args.coefficients:
-            coefficients_kind, _, module = mio.load_input(args.coefficients)
-            if coefficients_kind != "module":
-                raise InvalidInput("--coefficients file does not hold a module")
-            if module.space != space:
-                raise SpaceMismatch("coefficients module lives over a different space")
-        if module is not None:
+        # validate reports a module's violations itself
+        if module is not None and args.command != "validate":
             problems = validate_module(space, module)
-            if problems and args.command != "validate":
+            if problems:
                 raise InvalidInput(f"module invalid: {problems[0]}")
-        job = JobSpec(n_max=args.nmax, l_max=args.lmax, field=args.field)
-        handler = COMMANDS[args.command]
-        if args.command == "relations":
-            code, report = handler(space, module, job, graph=graph)
-        else:
-            code, report = handler(space, module, job)
+        if args.nmax < 0:
+            raise InvalidInput("nmax must be nonnegative")
+        if args.lmax < 0:
+            raise InvalidInput("lmax must be nonnegative")
+        if args.lmax is INF:
+            raise InvalidInput("lmax must be finite")
+        code, report = COMMANDS[args.command](args, space, module, graph)
         sys.stdout.buffer.write(emit(report, args.fmt))
         return code
     except MagnitudeError as err:

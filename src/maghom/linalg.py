@@ -156,10 +156,8 @@ class SparseMatrix:
                 self.add_at(r, c, v)
 
     @classmethod
-    def from_dense(cls, dense, rows=None, cols=None):
-        m = len(dense)
-        n = len(dense[0]) if m else (cols or 0)
-        out = cls(rows if rows is not None else m, cols if cols is not None else n)
+    def from_dense(cls, dense):
+        out = cls(len(dense), len(dense[0]) if dense else 0)
         for r, row in enumerate(dense):
             for c, v in enumerate(row):
                 out.add_at(r, c, v)

@@ -62,7 +62,11 @@ def quiver_relations(graph: Digraph) -> QuiverRelations:
     Shortest paths never exceed the diameter; minimal non-shortest paths are
     one arc longer than a shortest subpath, so diameter + 1 covers both.
     """
-    space = digraph_to_space(graph)
+    return _relations(graph, digraph_to_space(graph))
+
+
+def _relations(graph: Digraph, space: QuasimetricSpace) -> QuiverRelations:
+    """quiver_relations on the graph's space, built by the caller."""
     r1 = []
     r2 = []
     for length in range(2, int(_diameter(space)) + 2):
@@ -135,7 +139,7 @@ def check_bound_quiver_presentation(graph: Digraph, l_max: int) -> PresentationR
     vanish (either would indicate a bug, not a property of the input).
     """
     space = digraph_to_space(graph)
-    relations = quiver_relations(graph)
+    relations = _relations(graph, space)
     relations_inside_square = all(len(a) - 1 >= 2 for a, _ in relations.r1) and all(
         len(p) - 1 >= 2 for p in relations.r2
     )
@@ -206,7 +210,7 @@ def check_representation_relations(graph: Digraph, rep) -> list:
                 violations.append(RelationViolation(relation=((u, v),), grade=g, detail=detail))
     if violations:
         return violations
-    relations = quiver_relations(graph)
+    relations = _relations(graph, space)
 
     def composite(path, grade):
         """Nonzero entries of the composite map along a path of arcs; an arc

@@ -11,6 +11,7 @@ import pytest
 
 import maghom
 from maghom import io as mio
+from maghom.chain import magnitude_complex_with_coefficients
 from maghom.cli import FORMATS, build_parser, emit, main, parse_field_flag
 from maghom.distmod import validate_module
 from maghom.errors import InvalidField, UnsupportedFormat
@@ -39,7 +40,7 @@ def run(capsys, *argv):
 
 
 def test_parse_field_flag():
-    assert parse_field_flag("Z") == "Z"
+    assert parse_field_flag("Z") is None
     assert parse_field_flag("Q") == QQ
     assert parse_field_flag("Fp:5") == PrimeField(5)
     with pytest.raises(InvalidField):
@@ -260,10 +261,16 @@ def test_mh_with_coefficients(capsys, tmp_path, c3_file):
     }
     p = Path(c3_file).parent / "mod.json"
     p.write_text(json.dumps(module))
-    code, out = run(
-        capsys, "mh", c3_file, "--coefficients", str(p), "--nmax", "2", "--lmax", "2", "--format", "json"
-    )
+    code, out = run(capsys, "mh", str(p), "--nmax", "2", "--lmax", "2", "--format", "json")
     assert code == 0
+    _, space, mod = mio.load_input(str(p))
+    assert validate_module(space, mod) == []
+    expected = {}
+    for g in range(3):
+        cx = magnitude_complex_with_coefficients(space, mod, g, 2)
+        expected.update({(n, str(g)): cx.homology(n).betti for n in range(3)})
+    assert _rows(out, "betti") == expected
+    assert any(expected.values())
 
 
 ONE_ARC = {"points": ["a", "b"], "dist": [["0", "1"], ["inf", "0"]]}
@@ -312,11 +319,9 @@ def test_ext_scans_module_grades(capsys, tmp_path):
     expected = [(0, "-1/2", 2), (1, "-1/2", 0), (0, "1/2", 0), (1, "1/2", 1)]
     for n, l, dim in expected:
         assert ext_bidegree(space, mod, n, l, QQ) == dim
-    jobs = (("ext", str(p)), ("ext", str(tmp_path / "sp.json"), "--coefficients", str(p)))
-    for argv in jobs:
-        code, out = run(capsys, *argv, "--field", "Q", "--nmax", "1", "--lmax", "2", "--format", "json")
-        assert code == 0, out
-        assert [(r["n"], r["l"], r["dim"]) for r in json.loads(out)["rows"]] == expected
+    code, out = run(capsys, "ext", str(p), "--field", "Q", "--nmax", "1", "--lmax", "2", "--format", "json")
+    assert code == 0, out
+    assert [(r["n"], r["l"], r["dim"]) for r in json.loads(out)["rows"]] == expected
 
 
 def test_negative_module_grades_are_scanned(capsys, tmp_path):
@@ -334,9 +339,8 @@ def test_negative_module_grades_are_scanned(capsys, tmp_path):
     expected = {(n, l): 0 for n in (0, 1) for l in ("-1", "0", "1")}
     expected[(0, "-1")] = 1
     # lmax 1 scans grade 1, whose tuples reach grade 2 against M(a) in grade -1
-    jobs = (("mh", str(p)), ("tor", str(p)), ("mh", str(tmp_path / "sp.json"), "--coefficients", str(p)))
-    for argv in jobs:
-        code, out = run(capsys, *argv, "--nmax", "1", "--lmax", "1", "--format", "json")
+    for cmd in ("mh", "tor"):
+        code, out = run(capsys, cmd, str(p), "--nmax", "1", "--lmax", "1", "--format", "json")
         assert code == 0, out
         assert _rows(out, "betti") == expected
     code, out = run(capsys, "crosscheck", str(p), "--nmax", "1", "--lmax", "1", "--format", "json")
@@ -360,9 +364,7 @@ def test_ring_and_relations_reject_a_module(capsys, tmp_path, c3_file):
     mod.write_text(json.dumps(mio.dump_module(trivial_module(space, 0, 1))))
     for argv in (
         ("ring", str(mod), "--field", "Q"),
-        ("ring", c3_file, "--field", "Q", "--coefficients", str(mod)),
         ("relations", str(mod)),
-        ("relations", c3_file, "--coefficients", str(mod)),
     ):
         code, out = run(capsys, *argv, "--format", "json")
         assert code == 1, argv
@@ -549,15 +551,11 @@ def test_negative_bounds_are_invalid_input(capsys, k2_file):
         assert json.loads(out) == {"error": "InvalidInput", "detail": f"{flag} must be nonnegative"}
 
 
-NOT_A_MODULE = "--coefficients file does not hold a module"
-
-
 @pytest.mark.parametrize(
     "command, error, detail",
     [
-        ("mh k2 --coefficients k2", "InvalidInput", NOT_A_MODULE),
-        ("mh k2 --coefficients sp", "InvalidInput", NOT_A_MODULE),
-        ("mh k2 --coefficients mod", "SpaceMismatch", "coefficients module lives over a different space"),
+        # a module names its space: it is the input, not a flag's value
+        ("mh sp --coefficients mod", "InvalidInput", "unrecognized arguments: --coefficients mod.json"),
         ("mh bad", "InvalidInput", "module invalid: ShapeMismatch"),
         ("inv k2", "InvalidInput", "inv needs a module input"),
         ("coinv sp", "InvalidInput", "coinv needs a module input"),
@@ -579,7 +577,26 @@ def test_wrong_input_kinds_are_named_errors(capsys, tmp_path, command, error, de
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     argv = [str(tmp_path / f"{a}.json") if a in files else a for a in command.split()]
     err = _error(*run(capsys, *argv))
-    assert err["error"] == error and err["detail"].startswith(detail)
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == error and err["detail"].replace(f"{tmp_path}{os.sep}", "").startswith(detail)
+
+
+def test_a_module_is_validated_once(capsys, tmp_path, monkeypatch):
+    import maghom.cli as cli
+
+    calls = []
+
+    def counting(space, module):
+        calls.append(module)
+        return validate_module(space, module)
+
+    monkeypatch.setattr(cli, "validate_module", counting)
+    p = tmp_path / "mod.json"
+    p.write_text(json.dumps({"space": ONE_ARC, "components": {"a": [["0", 1]]}}))
+    for command in ("validate", "mh", "tor", "inv"):
+        calls.clear()
+        code, _ = run(capsys, command, str(p), "--nmax", "1", "--lmax", "1")
+        assert (code, len(calls)) == (0, 1), command
 
 
 def test_infinite_lmax_is_rejected_before_computing(capsys, c3_file):
@@ -857,7 +874,7 @@ def test_commands_leave_no_cyclic_garbage(capsys, c3_file):
         ("tor", str(mod_file), *bounds),
         ("ext", str(mod_file), *bounds, "--field", "Fp:2"),
         ("crosscheck", str(mod_file), *bounds),
-        ("mh", c3_file, "--coefficients", str(mod_file), *bounds),
+        ("mh", str(mod_file), *bounds),
         ("ring", c3_file, *bounds, "--field", "Q"),
     ]
     kinds = (BarResolution, BasedComplex)

@@ -40,8 +40,8 @@ from oracles import (
 )
 
 
-def M(rows, **kw):
-    return SparseMatrix.from_dense(rows, **kw)
+def M(rows):
+    return SparseMatrix.from_dense(rows)
 
 
 def sparse(vec):

@@ -153,12 +153,30 @@ def test_r2_violation_detected():
 def test_presentation_mismatch_raises_on_corrupted_relations(monkeypatch):
     import maghom.quiver as quiver_mod
 
-    real = quiver_mod.quiver_relations
+    real = quiver_mod._relations
 
-    def missing_r2(graph):
-        rel = real(graph)
+    def missing_r2(graph, space):
+        rel = real(graph, space)
         return type(rel)(r1=rel.r1, r2=())
 
-    monkeypatch.setattr(quiver_mod, "quiver_relations", missing_r2)
+    monkeypatch.setattr(quiver_mod, "_relations", missing_r2)
     with pytest.raises(DimensionMismatch):
         quiver_mod.check_bound_quiver_presentation(directed_cycle(3), 3)
+
+
+def test_each_check_builds_the_space_once(monkeypatch):
+    import maghom.quiver as quiver_mod
+
+    builds = []
+
+    def counting(graph):
+        builds.append(graph)
+        return digraph_to_space(graph)
+
+    monkeypatch.setattr(quiver_mod, "digraph_to_space", counting)
+    g = directed_cycle(3)
+    assert check_bound_quiver_presentation(g, 3).ok()
+    assert len(builds) == 1
+    builds.clear()
+    assert check_representation_relations(g, representable_module(digraph_to_space(g), "a")) == []
+    assert len(builds) == 1

@@ -348,11 +348,10 @@ def test_term_lists_built_in_parts_equal_one_build(res, rnd):
 def test_module_scan_builds_only_the_term_lists_it_reads():
     # the benchmark's crosscheck job on mod6: tor over n <= 4 and every
     # grade up to 5 that the module's components shift the tuple grades to
-    from maghom.cli import JobSpec, _resolved
+    from maghom.cli import _resolved
 
     space = digraph_to_space(random_digraph(6, 9, 0.4))
-    job = JobSpec(4, Fraction(5), None)
-    module, res, grades = _resolved(space, random_module(space, 9), job, "left")
+    module, res, grades = _resolved(space, random_module(space, 9), 4, Fraction(5), "left")
     read = {k: set() for k in range(1, res.n_max + 1)}
     for g in grades:
         for n in range(res.n_max):

@@ -181,7 +181,6 @@ def invocations(directory):
     calls += [
         (["mh", space, *bounds, "--field", "Q", "--format", "csv"], 0),
         (["mh", space, *bounds, "--field", "Fp:2", "--format", "json"], 0),
-        (["mh", space, *bounds, "--coefficients", module], 0),
         (["ring", space, *bounds, "--field", "Q", "--format", "json"], 0),
         (["ring", digraph, *bounds, "--field", "Fp:2", "--format", "csv"], 0),
         (["gen", "--seed", "3", "--points", "4"], 0),
@@ -205,8 +204,7 @@ def invocations(directory):
         ["tor", space, "--field", "Q"],
         ["crosscheck", space, "--field", "Q"],
         ["ring", space, "--field", "Z"],
-        ["mh", space, "--coefficients", space],
-        ["mh", digraph, "--coefficients", module],
+        ["mh", space, "--coefficients", module],
         ["gen", "--points", "-1"],
         [],
     ]
