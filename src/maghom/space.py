@@ -253,19 +253,25 @@ def validate_space(points, matrix) -> QuasimetricSpace:
                 raise ZeroOffDiagonal(
                     f"d({points[i]},{points[j]}) = 0 with {points[i]} != {points[j]}"
                 )
-    for i in range(n):
-        for j in range(n):
-            dij = dist[i][j]
-            if dij is INF:
+    space = QuasimetricSpace(points, dist)
+    # on the integer distances (units of 1/D, None for INF): an infinite
+    # d(j,k) never breaks the axiom, an infinite d(i,k) always does
+    scaled = space.scaled
+    for i, row_i in enumerate(scaled):
+        for j, dij in enumerate(row_i):
+            if dij is None:
                 continue
-            for k in range(n):
-                if dij + dist[j][k] < dist[i][k]:
+            for k, djk in enumerate(scaled[j]):
+                if djk is None:
+                    continue
+                dik = row_i[k]
+                if dik is None or dij + djk < dik:
                     raise TriangleViolation(
                         f"d({points[i]},{points[j]}) + d({points[j]},{points[k]}) "
                         f"< d({points[i]},{points[k]}) "
                         f"(witness triple ({points[i]}, {points[j]}, {points[k]}))"
                     )
-    return QuasimetricSpace(points, dist)
+    return space
 
 
 class Digraph:

@@ -18,6 +18,7 @@ package's class sets, cup product and class coordinates.
 from fractions import Fraction
 from math import gcd, lcm
 
+from maghom.errors import TriangleViolation
 from maghom.linalg import SparseMatrix, _clear
 
 
@@ -70,6 +71,29 @@ def _raw_walks(space, n, normalized):
             total += d
         else:
             yield seq, total
+
+
+def reference_triangle_violation(points, dist):
+    """The first triangle violation, found by Fraction sums, as the
+    TriangleViolation validate_space raises; None when the axiom holds.
+
+    `dist` holds Fractions, and None for an infinite distance.  Triples are
+    scanned in validate_space's order: i, then j with d(i, j) finite, then k.
+    """
+    n = len(points)
+    for i in range(n):
+        for j in range(n):
+            if dist[i][j] is None:
+                continue
+            for k in range(n):
+                if dist[j][k] is None:
+                    continue
+                if dist[i][k] is None or dist[i][j] + dist[j][k] < dist[i][k]:
+                    x, y, z = points[i], points[j], points[k]
+                    return TriangleViolation(
+                        f"d({x},{y}) + d({y},{z}) < d({x},{z}) (witness triple ({x}, {y}, {z}))"
+                    )
+    return None
 
 
 def exhaustive_tuples(space, n, grade, normalized=True):

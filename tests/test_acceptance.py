@@ -30,7 +30,7 @@ from maghom.ring import (
     yoneda_lift,
     yoneda_product,
 )
-from maghom.space import attainable_grades, digraph_to_space
+from maghom.space import attainable_grades, digraph_to_space, validate_space
 
 F2 = PrimeField(2)
 SUITE = standard_suite()
@@ -73,6 +73,23 @@ def test_criterion_2_k2_ladder():
             assert h.betti == expected, (n, grade, h)
             assert h.torsion == ()
     _report(2, "two-point space: betti 2 exactly on the diagonal, n,l <= 5, no torsion")
+
+
+def test_complete_graphs_are_diagonal():
+    # K_n, every distance 1: rank MH_{k,k} = n (n - 1)^k (a tuple at grade k
+    # has k steps, each to any other point, and no point is between two
+    # others), every off-diagonal group is 0, and nothing has torsion
+    for n in range(3, 6):
+        points = [f"p{i}" for i in range(n)]
+        space = validate_space(points, [[0 if i == j else 1 for j in range(n)] for i in range(n)])
+        triv = trivial_module(space, 0, 1)
+        res = bar_resolution(space, "left", 4, 3)
+        for grade in range(4):
+            cx = magnitude_complex(space, grade, 3)
+            for k in range(4):
+                expected = n * (n - 1) ** k if k == grade else 0
+                for h in (cx.homology(k), tor_bidegree(space, triv, k, grade, resolution=res)):
+                    assert (h.betti, h.torsion) == (expected, ()), (n, k, grade)
 
 
 def test_criterion_3_tor_crosscheck():

@@ -599,6 +599,24 @@ def test_a_module_is_validated_once(capsys, tmp_path, monkeypatch):
         assert (code, len(calls)) == (0, 1), command
 
 
+def test_relations_builds_the_space_once(capsys, c3_file, monkeypatch):
+    import maghom.io
+    import maghom.quiver
+    from maghom.space import digraph_to_space
+
+    builds = []
+
+    def counting(graph):
+        builds.append(graph)
+        return digraph_to_space(graph)
+
+    monkeypatch.setattr(maghom.io, "digraph_to_space", counting)
+    monkeypatch.setattr(maghom.quiver, "digraph_to_space", counting)
+    code, out = run(capsys, "relations", c3_file, "--format", "json")
+    assert code == 0 and json.loads(out)["R2"]
+    assert len(builds) == 1
+
+
 def test_infinite_lmax_is_rejected_before_computing(capsys, c3_file):
     # a cycle has attainable grades without bound
     err = _error(*run(capsys, "mh", c3_file, "--lmax", "inf"))
@@ -903,3 +921,60 @@ def test_commands_leave_no_cyclic_garbage(capsys, c3_file):
         assert [o for o in kept if not any(o is b for b in before)] == []
     finally:
         gc.enable()
+
+
+def test_main_restores_the_collector_thresholds(capsys, k2_file, monkeypatch):
+    import gc
+
+    import maghom.cli as cli
+
+    seen = []
+
+    def raising(args, space, module, graph):
+        seen.append(gc.get_threshold())
+        raise RuntimeError("handler failed")
+
+    saved = gc.get_threshold()
+    try:
+        gc.set_threshold(500, 7, 9)
+        assert run(capsys, "mh", k2_file, "--nmax", "1", "--lmax", "1")[0] == 0
+        assert gc.get_threshold() == (500, 7, 9)
+        assert run(capsys, "mh", k2_file, "--nmax", "-1")[0] == 1
+        assert gc.get_threshold() == (500, 7, 9)
+        assert run(capsys, "mh", k2_file, "--bogus")[0] == 1
+        assert gc.get_threshold() == (500, 7, 9)
+        monkeypatch.setitem(cli.COMMANDS, "mh", raising)
+        with pytest.raises(RuntimeError):
+            main(["mh", k2_file])
+        assert gc.get_threshold() == (500, 7, 9)
+        # the raised threshold covers the command; gen 1 and 2 are the caller's
+        assert seen == [(cli.GC_GEN0_THRESHOLD, 7, 9)]
+        assert gc.isenabled()
+    finally:
+        gc.set_threshold(*saved)
+
+
+def test_a_large_mh_run_makes_few_collections(capsys, tmp_path):
+    # the benchmark's largest mh job (chain-z's dg12) makes about a hundred
+    # young collections at CPython's default threshold of 700, and none of
+    # them finds garbage; raised, 2 or 3 on CPython 3.10 to 3.12
+    import gc
+
+    from maghom.gen import random_digraph
+
+    p = tmp_path / "dg12.json"
+    p.write_text(json.dumps(mio.dump_digraph(random_digraph(12, 1, 0.25))))
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        code, _ = run(capsys, "mh", str(p), "--nmax", "4", "--lmax", "5")
+    finally:
+        gc.callbacks.remove(count)
+    assert code == 0
+    assert len(collections) <= 10, collections

@@ -28,7 +28,7 @@ from maghom.space import (
     validate_space,
 )
 
-from oracles import bfs_distances
+from oracles import bfs_distances, reference_triangle_violation
 
 
 def test_validate_one_point():
@@ -214,3 +214,39 @@ def test_betweenness_table_matches_the_definition(n, seed, digraph):
         assert space.middles[a][c] == expected
         if space.d(a, c) is not INF:
             assert {a, c} <= expected
+
+
+TRIANGLE_VALUES = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), None]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 5),
+    data=st.data(),
+    closed=st.booleans(),
+)
+def test_triangle_check_matches_the_fraction_oracle(n, data, closed):
+    # fractional and infinite (None) distances; a raw matrix mostly violates
+    # the axiom, its shortest-path closure never does
+    dist = [
+        [Fraction(0) if i == j else data.draw(st.sampled_from(TRIANGLE_VALUES)) for j in range(n)]
+        for i in range(n)
+    ]
+    if closed:
+        for j in range(n):
+            for i in range(n):
+                for k in range(n):
+                    if dist[i][j] is not None and dist[j][k] is not None:
+                        via = dist[i][j] + dist[j][k]
+                        if dist[i][k] is None or via < dist[i][k]:
+                            dist[i][k] = via
+    points = [f"p{i}" for i in range(n)]
+    matrix = [["inf" if d is None else str(d) for d in row] for row in dist]
+    expected = reference_triangle_violation(points, dist)
+    if expected is None:
+        space = validate_space(points, matrix)
+        assert [[None if d is INF else d for d in row] for row in space.dist] == dist
+    else:
+        with pytest.raises(TriangleViolation) as err:
+            validate_space(points, matrix)
+        assert type(err.value) is type(expected) and str(err.value) == str(expected)

@@ -81,6 +81,7 @@ UNREACHED = {
     "quiver._relation_span_at": "check: test_criterion_8_bound_quiver_presentation",
     "quiver.check_bound_quiver_presentation": "check: test_criterion_8_bound_quiver_presentation",
     "quiver.check_representation_relations": "check: test_representation_from_distance_module_passes",
+    "quiver.quiver_relations": "api: a digraph's relations, in demo 05",
     "resolution.BarResolution.basis": "bench: the resolution.basis counter",
     "resolution._exactness_module": "check: exactness, test_criterion_10_resolution_exactness",
     "resolution.resolution_homology": "check: exactness, test_criterion_10_resolution_exactness",
